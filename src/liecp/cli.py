@@ -472,14 +472,7 @@ def main(argv=None) -> int:
     base = {"schema": SCHEMA, "command": args.command, "seed": args.seed}
     try:
         code, payload, lines = args.handler(args, policy)
-    except LiecpError as err:
-        base["error"] = str(err)
-        if args.json:
-            print(json.dumps(base, sort_keys=True))
-        else:
-            print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as err:
+    except (LiecpError, OSError, ValueError) as err:
         base["error"] = str(err)
         if args.json:
             print(json.dumps(base, sort_keys=True))

@@ -2,18 +2,18 @@
 
 Each report evaluates a set of provably equivalent conditions through
 independent computational routes and asserts that they agree.  A
-disagreement can only come from a randomized rank miss, so it triggers a
-certified re-run before being raised as an error.
+disagreement can only come from a randomized rank miss, so each report
+goes through `cp._agree_or_certify`, which re-runs once with certified
+ranks and more samples before raising an error.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import InconsistentConditions, NoUnit, NotCommutativeIdeal
+from .errors import NoUnit, NotCommutativeIdeal
 from .exactla import (
     DEFAULT_POLICY,
     LinFormMatrix,
@@ -22,8 +22,9 @@ from .exactla import (
     evaluate,
     generic_rank,
     kernel,
+    random_point,
 )
-from .cp import is_cp
+from .cp import _agree_or_certify, is_cp
 from .index import index
 from .liealg import (
     AssocAlgebra,
@@ -45,6 +46,10 @@ class EquivalenceReport:
     conditions: dict[str, bool]
     consistent: bool
     built: LieAlgebra
+
+
+def _all_equal(conditions: dict[str, bool]) -> bool:
+    return len(set(conditions.values())) == 1
 
 
 def _module_subspace(L: LieAlgebra, dim_g: int) -> Subspace:
@@ -70,11 +75,7 @@ def _stabilizer_vanishes_somewhere(form: LinFormMatrix, policy: RankPolicy) -> b
     """
     rng = random.Random(policy.seed)
     for _ in range(policy.samples):
-        point = tuple(
-            Fraction(rng.randint(-policy.coeff_bound, policy.coeff_bound))
-            for _ in range(form.nvars)
-        )
-        specialized = evaluate(form, point)
+        specialized = evaluate(form, random_point(rng, form.nvars, policy.coeff_bound))
         if not kernel(specialized.transpose()):
             return True
     return False
@@ -110,11 +111,7 @@ def semidirect_cp_report(
             "stabilizer_vanishes": _stabilizer_vanishes_somewhere(form, pol),
         }
 
-    conditions = run(policy)
-    if len(set(conditions.values())) != 1:
-        conditions = run(policy.with_options(certify=True, samples=max(policy.samples, 16)))
-    if len(set(conditions.values())) != 1:
-        raise InconsistentConditions(f"equivalent conditions disagree: {conditions}")
+    conditions = _agree_or_certify(run, _all_equal, policy, "equivalent conditions")
     return EquivalenceReport(conditions=conditions, consistent=True, built=L)
 
 
@@ -147,11 +144,7 @@ def frobenius_associative_report(
             "module_cp_ideal": is_cp(L, v, pol).is_cp and is_ideal(L, v),
         }
 
-    conditions = run(policy)
-    if len(set(conditions.values())) != 1:
-        conditions = run(policy.with_options(certify=True))
-    if len(set(conditions.values())) != 1:
-        raise InconsistentConditions(f"equivalent conditions disagree: {conditions}")
+    conditions = _agree_or_certify(run, _all_equal, policy, "equivalent conditions")
     return EquivalenceReport(conditions=conditions, consistent=True, built=L)
 
 
@@ -183,11 +176,7 @@ def lsa_frobenius_report(
             "dual_cp_ideal": is_cp(L, v, pol).is_cp and is_ideal(L, v),
         }
 
-    conditions = run(policy)
-    if len(set(conditions.values())) != 1:
-        conditions = run(policy.with_options(certify=True, samples=max(policy.samples, 16)))
-    if len(set(conditions.values())) != 1:
-        raise InconsistentConditions(f"equivalent conditions disagree: {conditions}")
+    conditions = _agree_or_certify(run, _all_equal, policy, "equivalent conditions")
     return EquivalenceReport(conditions=conditions, consistent=True, built=L)
 
 
@@ -229,11 +218,9 @@ def abelianization_semidirect_check(
         rhs = is_cp(L1, v1, pol).is_cp
         return lhs, rhs, index(L, pol).index, index(L1, pol).index
 
-    lhs, rhs, i_l, i_l1 = run(policy)
-    if lhs != rhs:
-        lhs, rhs, i_l, i_l1 = run(policy.with_options(certify=True))
-    if lhs != rhs:
-        raise InconsistentConditions("abelianization equivalence failed under certification")
+    lhs, rhs, i_l, i_l1 = _agree_or_certify(
+        run, lambda r: r[0] == r[1], policy, "CP of V in L and in the flattened extension"
+    )
     index_match = (i_l1 == i_l) if lhs else None
     return AbelianizationReport(
         cp_in_parent=lhs,

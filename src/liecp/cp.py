@@ -5,8 +5,9 @@ dim P = (dim L + index L) / 2; equivalently P = P^f for some functional f
 (necessarily regular), equivalently the generic rank of the bracket
 pairing between P and L equals dim L - dim P.  The dimension and rank
 characterizations are provably equivalent, so a disagreement can only be
-a randomized-rank artifact: it triggers an automatic certified re-run and
-only then is reported as an error.
+a randomized-rank artifact.  Every check of equivalent conditions, here and
+in constructions.py, goes through `_agree_or_certify`: on disagreement it
+re-runs once with certified ranks and only then reports an error.
 
 Negative results are certified soundly through two routes: a pair of
 vectors in the sampled stabilizer span with nonzero bracket (the sampled
@@ -26,7 +27,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .errors import (
     AmbientMismatch,
@@ -49,6 +50,7 @@ from .exactla import (
     evaluate,
     generic_rank,
     kernel,
+    random_point,
     rank_exact,
 )
 from .index import (
@@ -70,6 +72,7 @@ from .liealg import (
 )
 
 Vector = tuple[Fraction, ...]
+T = TypeVar("T")
 
 FSR_KIND = "fsr_noncommutative"
 FORM_KIND = "invariant_form_nonabelian"
@@ -78,6 +81,28 @@ FORM_KIND = "invariant_form_nonabelian"
 # ---------------------------------------------------------------------------
 # CP verification
 # ---------------------------------------------------------------------------
+
+
+def _agree_or_certify(
+    run: Callable[[RankPolicy], T],
+    agree: Callable[[T], bool],
+    policy: RankPolicy,
+    what: str,
+) -> T:
+    """run(policy), re-run once certified if `agree` rejects the result.
+
+    Callers evaluate provably equivalent conditions, so a disagreement can
+    only be a sampled-rank miss.  The re-run certifies every rank (exact
+    whatever the sample count) and draws at least 16 samples for the purely
+    sampled witnesses; a disagreement that survives it is an error.
+    """
+    result = run(policy)
+    if agree(result):
+        return result
+    result = run(policy.with_options(certify=True, samples=max(policy.samples, 16)))
+    if not agree(result):
+        raise InconsistentConditions(f"{what} disagree under certification: {result}")
+    return result
 
 
 @dataclass(frozen=True)
@@ -131,14 +156,13 @@ def is_cp(L: LieAlgebra, p: Subspace, policy: RankPolicy = DEFAULT_POLICY) -> CP
         cond_rank = rank == L.dim - p.dim
         return rep, rank, rep.certified and rank_certified, cond_dim, cond_rank
 
-    rep, rank, certified, cond_dim, cond_rank = run(policy)
-    if abelian and subalg and cond_dim != cond_rank and not certified:
-        # the two conditions are equivalent theorems; disagreement means a sampling miss
-        rep, rank, certified, cond_dim, cond_rank = run(policy.with_options(certify=True))
-    if abelian and subalg and cond_dim != cond_rank:
-        raise InconsistentConditions(
-            f"dimension condition {cond_dim} vs rank condition {cond_rank} under certification"
-        )
+    # cond_dim and cond_rank (r[3], r[4]) are equivalent theorems for an abelian subalgebra
+    rep, rank, certified, cond_dim, cond_rank = _agree_or_certify(
+        run,
+        lambda r: not (abelian and subalg) or r[3] == r[4],
+        policy,
+        "dimension and rank conditions",
+    )
     return CPReport(
         is_cp=abelian and subalg and cond_dim and cond_rank,
         is_ideal=ideal,
@@ -172,7 +196,7 @@ def cp_witness_functional(
     idx = index(L, policy)
     rng = random.Random(policy.seed)
     for _ in range(attempts):
-        f = Functional(L.dim, tuple(Fraction(rng.randint(-policy.coeff_bound, policy.coeff_bound)) for _ in range(L.dim)))
+        f = Functional(L.dim, random_point(rng, L.dim, policy.coeff_bound))
         if perp_of(L, p, f) == p and stabilizer(L, f).dim == idx.index:
             return f
     return None
@@ -220,7 +244,7 @@ def _form_certificate(L: LieAlgebra, policy: RankPolicy) -> NoCPCertificate | No
         return None
     rng = random.Random(policy.seed)
     for _ in range(max(policy.samples, 16)):
-        point = tuple(Fraction(rng.randint(-policy.coeff_bound, policy.coeff_bound)) for _ in range(family.nvars))
+        point = random_point(rng, family.nvars, policy.coeff_bound)
         if rank_exact(evaluate(family, point)) == L.dim:
             return NoCPCertificate(FORM_KIND, form_point=point)
     return None
@@ -395,23 +419,21 @@ def verify_index_chain(
     final = levels[-1]
     final_abelian = is_abelian(L, final)
     cp_report = None
-    ok = steps_ok
     if steps_ok and final_abelian:
-        cp_report = is_cp(L, final, policy)
-        if not cp_report.is_cp:
-            cp_report = is_cp(L, final, policy.with_options(certify=True))
-            if not cp_report.is_cp:
-                raise InconsistentConditions(
-                    "a valid increasing-index chain must end in a commutative polarization"
-                )
-        ok = cp_report.is_cp
+        # a valid increasing-index chain ends in a commutative polarization
+        cp_report = _agree_or_certify(
+            lambda pol: is_cp(L, final, pol),
+            lambda r: r.is_cp,
+            policy,
+            "the index chain and the CP check of its last level",
+        )
     return ChainReport(
         dims=tuple(lv.dim for lv in levels),
         indices=indices,
         steps_ok=steps_ok,
         final_abelian=final_abelian,
         cp_report=cp_report,
-        ok=ok,
+        ok=steps_ok,
     )
 
 
@@ -466,14 +488,18 @@ class Codim1Report:
     direction: int
     fsr_in_m: bool
     fsr_converged: bool
-    status: str  # "certified" or "probable"
+    status: str  # "certified" iff both indices are certified, else "probable"
 
 
 def codim1_analysis(
     L: LieAlgebra, m: Subspace, policy: RankPolicy = DEFAULT_POLICY
 ) -> Codim1Report:
-    """Index of a codim-1 subalgebra moves by exactly 1; the direction is
-    cross-checked against containment of the sampled stabilizer span."""
+    """Index of a codim-1 subalgebra moves by exactly 1.
+
+    The status is "certified" only when both indices are certified; a
+    sampled index may be too high, so the direction is then only probable.
+    `fsr_in_m` reports whether the sampled stabilizer span lies in M.
+    """
     if m.ambient_dim != L.dim:
         raise AmbientMismatch("subspace ambient dimension differs from the algebra")
     if m.dim != L.dim - 1:
@@ -481,33 +507,21 @@ def codim1_analysis(
     if not is_subalgebra(L, m):
         raise NotASubalgebra("M must be a subalgebra")
 
-    def run(pol: RankPolicy):
-        i_l = index(L, pol)
-        i_m = index(restrict(L, m), pol)
-        return i_l, i_m
-
-    i_l, i_m = run(policy)
-    if abs(i_m.index - i_l.index) != 1 and not (i_l.certified and i_m.certified):
-        i_l, i_m = run(policy.with_options(certify=True))
-    if abs(i_m.index - i_l.index) != 1:
-        raise InconsistentConditions("codimension-1 index dichotomy failed under certification")
+    m_alg = restrict(L, m)
+    i_l, i_m = _agree_or_certify(
+        lambda pol: (index(L, pol), index(m_alg, pol)),
+        lambda r: abs(r[1].index - r[0].index) == 1,
+        policy,
+        "indices of L and M (which must differ by 1)",
+    )
     fsr_rep = frobenius_semiradical(L, policy)
-    fsr_in_m = m.contains_subspace(fsr_rep.subspace)
-    direction = i_m.index - i_l.index
-    if i_l.certified and i_m.certified:
-        status = "certified"
-    elif direction == -1 and not fsr_in_m:
-        # the sampled span escapes M, which soundly rules out the +1 case
-        status = "certified"
-    else:
-        status = "probable"
     return Codim1Report(
         index_parent=i_l.index,
         index_sub=i_m.index,
-        direction=direction,
-        fsr_in_m=fsr_in_m,
+        direction=i_m.index - i_l.index,
+        fsr_in_m=m.contains_subspace(fsr_rep.subspace),
         fsr_converged=fsr_rep.converged,
-        status=status,
+        status="certified" if i_l.certified and i_m.certified else "probable",
     )
 
 
@@ -589,18 +603,14 @@ def subalgebra_cp_transfer(
     if any(c is None for c in coords):
         raise NotContained("P must be contained in M")
     p_in_m = Subspace.span(m.dim, coords)
-    lhs = is_cp(L, p, policy).is_cp
-    cp_sub = is_cp(m_alg, p_in_m, policy).is_cp
-    relation = index(m_alg, policy).index == index(L, policy).index + L.dim - m.dim
-    rhs = cp_sub and relation
-    if lhs != rhs:
-        lhs = is_cp(L, p, policy.with_options(certify=True)).is_cp
-        cp_sub = is_cp(m_alg, p_in_m, policy.with_options(certify=True)).is_cp
-        relation = (
-            index(m_alg, policy.with_options(certify=True)).index
-            == index(L, policy.with_options(certify=True)).index + L.dim - m.dim
-        )
-        rhs = cp_sub and relation
-    if lhs != rhs:
-        raise InconsistentConditions("subalgebra transfer equivalence failed under certification")
-    return TransferReport(cp_of_parent=lhs, cp_of_sub=cp_sub, index_relation=relation, equivalent=lhs == rhs)
+
+    def run(pol: RankPolicy) -> tuple[bool, bool, bool]:
+        lhs = is_cp(L, p, pol).is_cp
+        cp_sub = is_cp(m_alg, p_in_m, pol).is_cp
+        relation = index(m_alg, pol).index == index(L, pol).index + L.dim - m.dim
+        return lhs, cp_sub, relation
+
+    lhs, cp_sub, relation = _agree_or_certify(
+        run, lambda r: r[0] == (r[1] and r[2]), policy, "subalgebra transfer conditions"
+    )
+    return TransferReport(cp_of_parent=lhs, cp_of_sub=cp_sub, index_relation=relation, equivalent=True)

@@ -41,6 +41,11 @@ def as_vector(values: VecLike) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
+def random_point(rng: random.Random, n: int, bound: int) -> tuple[Fraction, ...]:
+    """n integer coordinates drawn uniformly from [-bound, bound], in order."""
+    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
+
+
 def format_rat(x: Fraction) -> str:
     """Canonical string form: "p" for integers, "p/q" with q > 0 otherwise."""
     if x.denominator == 1:
@@ -487,10 +492,9 @@ def generic_rank(m: LinFormMatrix, policy: RankPolicy = DEFAULT_POLICY) -> RankR
     if bound == 0:
         return RankResult(0, True)
     rng = random.Random(policy.seed)
-    b = policy.coeff_bound
     best = 0
     for _ in range(policy.samples):
-        point = tuple(Fraction(rng.randint(-b, b)) for _ in range(m.nvars))
+        point = random_point(rng, m.nvars, policy.coeff_bound)
         best = max(best, rank_exact(evaluate(m, point)))
         if best == bound:
             return RankResult(best, True)

@@ -23,6 +23,7 @@ from .exactla import (
     RankPolicy,
     generic_rank,
     kernel,
+    random_point,
 )
 from .liealg import Functional, LieAlgebra, Subspace, center
 
@@ -65,15 +66,11 @@ def is_regular(L: LieAlgebra, f: Functional, policy: RankPolicy = DEFAULT_POLICY
     return stabilizer(L, f).dim == index(L, policy).index
 
 
-def _draw_functional(L: LieAlgebra, rng: random.Random, bound: int) -> Functional:
-    return Functional(L.dim, tuple(Fraction(rng.randint(-bound, bound)) for _ in range(L.dim)))
-
-
 def _draw_regular(
     L: LieAlgebra, target_dim: int, rng: random.Random, bound: int, attempts: int
 ) -> Functional:
     for _ in range(attempts):
-        f = _draw_functional(L, rng, bound)
+        f = Functional(L.dim, random_point(rng, L.dim, bound))
         if stabilizer(L, f).dim == target_dim:
             return f
     raise SamplingExhausted(

@@ -185,11 +185,7 @@ class LieAlgebra:
 
     def bracket_table(self, i: int, j: int) -> dict[int, Fraction]:
         """Table of [x_i, x_j] for basis indices, sign handled."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.sc.get((i, j), {}))
-        return {k: -c for k, c in self.sc.get((j, i), {}).items()}
+        return _signed_table(self.sc, i, j)
 
     def bracket(self, u: VecLike, v: VecLike) -> Vector:
         uu, vv = as_vector(u), as_vector(v)
@@ -216,19 +212,20 @@ class LieAlgebra:
         return self.subspace([self.basis_vector(self.label_index(lb)) for lb in labels])
 
 
-def _jacobi_defect(sc: Mapping[tuple[int, int], ScTable], dim: int, i: int, j: int, k: int) -> Vector:
-    def table(a: int, b: int) -> dict[int, Fraction]:
-        if a == b:
-            return {}
-        if a < b:
-            return dict(sc.get((a, b), {}))
-        return {t: -c for t, c in sc.get((b, a), {}).items()}
+def _signed_table(sc: Mapping[tuple[int, int], ScTable], i: int, j: int) -> dict[int, Fraction]:
+    """[x_i, x_j] from tables stored for i < j only."""
+    if i == j:
+        return {}
+    if i < j:
+        return dict(sc.get((i, j), {}))
+    return {k: -c for k, c in sc.get((j, i), {}).items()}
 
+
+def _jacobi_defect(sc: Mapping[tuple[int, int], ScTable], dim: int, i: int, j: int, k: int) -> Vector:
     acc = _zero_vec(dim)
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        inner = table(a, b)
-        for p, coeff in inner.items():
-            _add_scaled(acc, table(p, c), coeff)
+        for p, coeff in _signed_table(sc, a, b).items():
+            _add_scaled(acc, _signed_table(sc, p, c), coeff)
     return tuple(acc)
 
 
@@ -508,28 +505,16 @@ def semidirect_product(
 def derivation_extend(m: LieAlgebra, d, new_label: str = "d") -> LieAlgebra:
     """Extension by one outer element acting as the given derivation."""
     dm = _as_matrix(d, m.dim)
-    for (i, j), table in m.sc.items():
-        lhs = _zero_vec(m.dim)
-        _add_scaled(lhs, table, ONE)
-        lhs = dm.mul_vector(lhs)
-        di = tuple(dm.entries[k][i] for k in range(m.dim))
-        dj = tuple(dm.entries[k][j] for k in range(m.dim))
-        rhs = tuple(
-            a + b for a, b in zip(m.bracket(di, m.basis_vector(j)), m.bracket(m.basis_vector(i), dj))
-        )
-        if tuple(lhs) != rhs:
-            raise NotADerivation(f"derivation identity fails on ({m.labels[i]}, {m.labels[j]})")
-    # Also cover pairs with zero bracket: d[x,y] = 0 must match [dx,y] + [x,dy].
+    images = [tuple(dm.entries[k][i] for k in range(m.dim)) for i in range(m.dim)]
     for i in range(m.dim):
         for j in range(i + 1, m.dim):
-            if (i, j) in m.sc:
-                continue
-            di = tuple(dm.entries[k][i] for k in range(m.dim))
-            dj = tuple(dm.entries[k][j] for k in range(m.dim))
+            # d[x_i, x_j] = [d x_i, x_j] + [x_i, d x_j], including pairs with zero bracket
+            lhs = dm.mul_vector(m.bracket(m.basis_vector(i), m.basis_vector(j)))
             rhs = tuple(
-                a + b for a, b in zip(m.bracket(di, m.basis_vector(j)), m.bracket(m.basis_vector(i), dj))
+                a + b
+                for a, b in zip(m.bracket(images[i], m.basis_vector(j)), m.bracket(m.basis_vector(i), images[j]))
             )
-            if any(x != 0 for x in rhs):
+            if lhs != rhs:
                 raise NotADerivation(f"derivation identity fails on ({m.labels[i]}, {m.labels[j]})")
     if new_label in m.labels:
         raise ValueError("new label collides with an existing basis label")
@@ -538,7 +523,7 @@ def derivation_extend(m: LieAlgebra, d, new_label: str = "d") -> LieAlgebra:
     for (i, j), table in m.sc.items():
         brackets[(i, j)] = dict(table)
     for i in range(m.dim):
-        table = {k: dm.entries[k][i] for k in range(m.dim) if dm.entries[k][i]}
+        table = {k: c for k, c in enumerate(images[i]) if c}
         if table:
             # stored as [x_i, d] = -d(x_i) to keep i < j ordering
             brackets[(i, m.dim)] = {k: -c for k, c in table.items()}
@@ -574,11 +559,16 @@ def heisenberg_extend(m: LieAlgebra, z: VecLike, r: int) -> LieAlgebra:
 
 
 @dataclass(frozen=True)
-class AssocAlgebra:
+class ProductAlgebra:
+    """Algebra with a bilinear product given by structure constants for
+    every ordered basis pair.  Whether it is associative (with an optional
+    unit) or left-symmetric is established by the validating constructor
+    that built it."""
+
     dim: int
     labels: tuple[str, ...]
     sc: Mapping[tuple[int, int], ScTable]
-    unit: Vector | None
+    unit: Vector | None = None
 
     def product_table(self, i: int, j: int) -> dict[int, Fraction]:
         return dict(self.sc.get((i, j), {}))
@@ -594,26 +584,16 @@ class AssocAlgebra:
         return tuple(_unit(self.dim, i))
 
 
-@dataclass(frozen=True)
-class LSAAlgebra:
-    dim: int
-    labels: tuple[str, ...]
-    sc: Mapping[tuple[int, int], ScTable]
-
-    def product(self, u: VecLike, v: VecLike) -> Vector:
-        uu, vv = as_vector(u), as_vector(v)
-        acc = _zero_vec(self.dim)
-        for (i, j), table in self.sc.items():
-            _add_scaled(acc, table, uu[i] * vv[j])
-        return tuple(acc)
-
-    def basis_vector(self, i: int) -> Vector:
-        return tuple(_unit(self.dim, i))
+# one type for both kinds; only their validating constructors differ
+AssocAlgebra = ProductAlgebra
+LSAAlgebra = ProductAlgebra
 
 
 def _clean_product_table(
-    dim: int, products: Mapping[tuple[int, int], Mapping[int, "Fraction | int"]]
+    dim: int, labels: Sequence[str], products: Mapping[tuple[int, int], Mapping[int, "Fraction | int"]]
 ) -> dict[tuple[int, int], dict[int, Fraction]]:
+    if len(labels) != dim or len(set(labels)) != dim:
+        raise ValueError("labels must be distinct and match dim")
     sc: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), table in products.items():
         if not (0 <= i < dim and 0 <= j < dim):
@@ -637,12 +617,10 @@ def new_assoc_algebra(
     labels: Sequence[str],
     products: Mapping[tuple[int, int], Mapping[int, "Fraction | int"]],
     unit: VecLike | None = None,
-) -> AssocAlgebra:
+) -> ProductAlgebra:
     labels = tuple(labels)
-    if len(labels) != dim or len(set(labels)) != dim:
-        raise ValueError("labels must be distinct and match dim")
-    sc = _clean_product_table(dim, products)
-    alg = AssocAlgebra(dim, labels, sc, as_vector(unit) if unit is not None else None)
+    sc = _clean_product_table(dim, labels, products)
+    alg = ProductAlgebra(dim, labels, sc, as_vector(unit) if unit is not None else None)
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
@@ -662,12 +640,10 @@ def new_lsa_algebra(
     dim: int,
     labels: Sequence[str],
     products: Mapping[tuple[int, int], Mapping[int, "Fraction | int"]],
-) -> LSAAlgebra:
+) -> ProductAlgebra:
     labels = tuple(labels)
-    if len(labels) != dim or len(set(labels)) != dim:
-        raise ValueError("labels must be distinct and match dim")
-    sc = _clean_product_table(dim, products)
-    alg = LSAAlgebra(dim, labels, sc)
+    sc = _clean_product_table(dim, labels, products)
+    alg = ProductAlgebra(dim, labels, sc)
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
@@ -683,8 +659,8 @@ def _vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def lie_of_associative(a: AssocAlgebra) -> LieAlgebra:
-    """Commutator Lie algebra [u, v] = uv - vu."""
+def lie_of_associative(a: ProductAlgebra) -> LieAlgebra:
+    """Commutator Lie algebra [u, v] = uv - vu (associative or left-symmetric a)."""
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
@@ -695,7 +671,7 @@ def lie_of_associative(a: AssocAlgebra) -> LieAlgebra:
     return new_lie_algebra(a.dim, a.labels, brackets)
 
 
-def left_mult_action(a: "AssocAlgebra | LSAAlgebra") -> list[QMatrix]:
+def left_mult_action(a: ProductAlgebra) -> list[QMatrix]:
     """Matrices of u -> (v -> uv), one per basis element."""
     mats = []
     for i in range(a.dim):
@@ -704,19 +680,12 @@ def left_mult_action(a: "AssocAlgebra | LSAAlgebra") -> list[QMatrix]:
     return mats
 
 
-def lie_of_lsa(a: LSAAlgebra) -> tuple[LieAlgebra, list[QMatrix]]:
+def lie_of_lsa(a: ProductAlgebra) -> tuple[LieAlgebra, list[QMatrix]]:
     """Commutator algebra of a left-symmetric product and its left-multiplication module."""
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            w = _vec_sub(a.product(a.basis_vector(i), a.basis_vector(j)), a.product(a.basis_vector(j), a.basis_vector(i)))
-            table = {k: c for k, c in enumerate(w) if c}
-            if table:
-                brackets[(i, j)] = table
-    return new_lie_algebra(a.dim, a.labels, brackets), left_mult_action(a)
+    return lie_of_associative(a), left_mult_action(a)
 
 
-def tensor_commutative(a: AssocAlgebra, m: LieAlgebra) -> LieAlgebra:
+def tensor_commutative(a: ProductAlgebra, m: LieAlgebra) -> LieAlgebra:
     """Current-algebra bracket [a x, a' y] = (a a') [x, y] for commutative a."""
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
@@ -800,98 +769,79 @@ def _parse_terms(terms, idx_of: Mapping[str, int], location: str) -> dict[int, F
     return out
 
 
-def parse_algebra(text: str) -> LieAlgebra:
-    """Parse the strict Lie-algebra file format; see serialize_algebra."""
+def _parse_file(text: str, field: str) -> tuple[int, tuple[str, ...], dict, Vector | None]:
+    """Header, lhs/rhs/terms entries under `field`, and the optional unit.
+
+    The Lie format ("brackets") stores each pair once, earlier label first;
+    the product format ("product") lists ordered pairs and may give a unit.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
-    _, dim, basis = _parse_header(obj, "brackets")
+    _, dim, basis = _parse_header(obj, field)
+    lie = field == "brackets"
     idx_of = {lb: i for i, lb in enumerate(basis)}
-    entries = obj["brackets"]
+    entries = obj[field]
     if not isinstance(entries, list):
-        raise ParseError("field 'brackets' must be an array", "brackets")
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+        raise ParseError(f"field '{field}' must be an array", field)
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for pos, item in enumerate(entries):
-        location = f"brackets[{pos}]"
+        location = f"{field}[{pos}]"
         if not isinstance(item, dict) or set(item) != {"lhs", "rhs", "terms"}:
-            raise ParseError("bracket entries need exactly lhs/rhs/terms", location)
-        lhs, rhs = item["lhs"], item["rhs"]
-        for side in (lhs, rhs):
-            if side not in idx_of:
-                raise ParseError(f"unknown label {side!r}", location)
-        i, j = idx_of[lhs], idx_of[rhs]
-        if i >= j:
-            raise ParseError(f"pair ({lhs}, {rhs}) must list the earlier basis label first", location)
-        if (i, j) in brackets:
-            raise ParseError(f"duplicate pair ({lhs}, {rhs})", location)
-        brackets[(i, j)] = _parse_terms(item["terms"], idx_of, location)
-    return new_lie_algebra(dim, basis, brackets)
-
-
-def serialize_algebra(L: LieAlgebra, name: str = "algebra") -> str:
-    """Canonical text form; parse(serialize(L)) == L."""
-    items = []
-    for (i, j) in sorted(L.sc):
-        terms = {L.labels[k]: format_rat(c) for k, c in sorted(L.sc[(i, j)].items())}
-        items.append({"lhs": L.labels[i], "rhs": L.labels[j], "terms": terms})
-    obj = {"name": name, "dim": L.dim, "basis": list(L.labels), "brackets": items}
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
-
-
-def _parse_product_file(text: str) -> tuple[int, tuple[str, ...], dict, Vector | None]:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
-    _, dim, basis = _parse_header(obj, "product")
-    idx_of = {lb: i for i, lb in enumerate(basis)}
-    entries = obj["product"]
-    if not isinstance(entries, list):
-        raise ParseError("field 'product' must be an array", "product")
-    products: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for pos, item in enumerate(entries):
-        location = f"product[{pos}]"
-        if not isinstance(item, dict) or set(item) != {"lhs", "rhs", "terms"}:
-            raise ParseError("product entries need exactly lhs/rhs/terms", location)
+            raise ParseError(f"{'bracket' if lie else 'product'} entries need exactly lhs/rhs/terms", location)
         lhs, rhs = item["lhs"], item["rhs"]
         for side in (lhs, rhs):
             if side not in idx_of:
                 raise ParseError(f"unknown label {side!r}", location)
         key = (idx_of[lhs], idx_of[rhs])
-        if key in products:
+        if lie and key[0] >= key[1]:
+            raise ParseError(f"pair ({lhs}, {rhs}) must list the earlier basis label first", location)
+        if key in table:
             raise ParseError(f"duplicate pair ({lhs}, {rhs})", location)
-        products[key] = _parse_terms(item["terms"], idx_of, location)
+        table[key] = _parse_terms(item["terms"], idx_of, location)
     unit = None
-    if "unit" in obj:
-        table = _parse_terms(obj["unit"], idx_of, "unit")
-        unit_vec = _zero_vec(dim)
-        for k, c in table.items():
-            unit_vec[k] = c
-        unit = tuple(unit_vec)
-    return dim, basis, products, unit
+    if not lie and "unit" in obj:
+        terms = _parse_terms(obj["unit"], idx_of, "unit")
+        unit = tuple(terms.get(k, ZERO) for k in range(dim))
+    return dim, basis, table, unit
 
 
-def parse_assoc_algebra(text: str) -> AssocAlgebra:
-    dim, basis, products, unit = _parse_product_file(text)
-    return new_assoc_algebra(dim, basis, products, unit)
+def _serialize(
+    name: str, labels: tuple[str, ...], field: str, sc: Mapping[tuple[int, int], ScTable], unit: Vector | None = None
+) -> str:
+    items = []
+    for (i, j) in sorted(sc):
+        terms = {labels[k]: format_rat(c) for k, c in sorted(sc[(i, j)].items())}
+        items.append({"lhs": labels[i], "rhs": labels[j], "terms": terms})
+    obj: dict = {"name": name, "dim": len(labels), "basis": list(labels), field: items}
+    if unit is not None:
+        obj["unit"] = {labels[k]: format_rat(c) for k, c in enumerate(unit) if c}
+    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
 
 
-def parse_lsa_algebra(text: str) -> LSAAlgebra:
-    dim, basis, products, _ = _parse_product_file(text)
+def parse_algebra(text: str) -> LieAlgebra:
+    """Parse the strict Lie-algebra file format; see serialize_algebra."""
+    dim, basis, brackets, _ = _parse_file(text, "brackets")
+    return new_lie_algebra(dim, basis, brackets)
+
+
+def serialize_algebra(L: LieAlgebra, name: str = "algebra") -> str:
+    """Canonical text form; parse(serialize(L)) == L."""
+    return _serialize(name, L.labels, "brackets", L.sc)
+
+
+def parse_assoc_algebra(text: str) -> ProductAlgebra:
+    return new_assoc_algebra(*_parse_file(text, "product"))
+
+
+def parse_lsa_algebra(text: str) -> ProductAlgebra:
+    dim, basis, products, _ = _parse_file(text, "product")
     return new_lsa_algebra(dim, basis, products)
 
 
-def serialize_product_algebra(a: "AssocAlgebra | LSAAlgebra", name: str = "algebra") -> str:
-    items = []
-    for (i, j) in sorted(a.sc):
-        terms = {a.labels[k]: format_rat(c) for k, c in sorted(a.sc[(i, j)].items())}
-        items.append({"lhs": a.labels[i], "rhs": a.labels[j], "terms": terms})
-    obj: dict = {"name": name, "dim": a.dim, "basis": list(a.labels), "product": items}
-    unit = getattr(a, "unit", None)
-    if unit is not None:
-        obj["unit"] = {a.labels[k]: format_rat(c) for k, c in enumerate(unit) if c}
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
+def serialize_product_algebra(a: ProductAlgebra, name: str = "algebra") -> str:
+    return _serialize(name, a.labels, "product", a.sc, a.unit)
 
 
 # ---------------------------------------------------------------------------

@@ -197,11 +197,22 @@ class TestDeterminism:
         assert code == 0 and "index 2" in out
 
 
+def assert_error_line(out: str, command: str) -> None:
+    """One JSON error line: schema, command, seed and the message, no exit code."""
+    doc = json.loads(out)
+    assert set(doc) == {"schema", "command", "seed", "error"}
+    assert doc["command"] == command and doc["error"]
+
+
 class TestErrors:
     def test_missing_file(self):
-        code, _ = run(["index", "/nonexistent/file.alg", "--json"])
+        # OSError from the file read
+        code, out = run(["index", "/nonexistent/file.alg", "--json"])
         assert code == 2
+        assert_error_line(out, "index")
 
     def test_bad_span_label(self, diamond_file):
-        code, _ = run(["cp-check", diamond_file, "--span", "nope", "--json"])
+        # LiecpError from the span parser
+        code, out = run(["cp-check", diamond_file, "--span", "nope", "--json"])
         assert code == 2
+        assert_error_line(out, "cp-check")

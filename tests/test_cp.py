@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from liecp import catalog
 from liecp.errors import (
     ChainGap,
+    InconsistentConditions,
     NotAnIdeal,
     NotASubalgebra,
     NotCodimOne,
@@ -24,6 +26,7 @@ from liecp.index import frobenius_semiradical, index
 from liecp.cp import (
     FORM_KIND,
     FSR_KIND,
+    _agree_or_certify,
     centralizer_codim1_check,
     codim1_analysis,
     cp_witness_functional,
@@ -355,6 +358,24 @@ class TestCodim1:
         assert rep.direction == -1 and not rep.fsr_in_m
         assert rep.status == "certified"
 
+    def test_diamond_sampled_is_probable(self):
+        # diamond's bracket matrix has rank 2 < 4: no sample reaches full rank to certify it
+        L = diamond()
+        rep = codim1_analysis(L, parse_span(L, "x,y,z"), P.with_options(certify=False))
+        assert rep.direction == -1 and not rep.fsr_in_m
+        assert rep.status == "probable"
+
+    def test_wrong_sampled_direction_is_not_certified(self):
+        L = catalog.get("dixmier_lister")
+        m = parse_span(L, "e2,e3,e4,e5,e6,e7,e8")
+        weak = RankPolicy(samples=1, coeff_bound=2, certify=False, seed=1)
+        rep = codim1_analysis(L, m, weak)
+        # one unlucky sample reports the index too high and the direction wrong
+        assert (rep.index_parent, rep.direction) == (4, -1)
+        assert rep.status == "probable"
+        truth = codim1_analysis(L, m, RankPolicy(certify=True))
+        assert (truth.index_parent, truth.direction, truth.status) == (2, 1, "certified")
+
     def test_frobenius_2dim(self):
         L = lie_algebra_from_label_table(("x", "y"), {("x", "y"): {"y": 1}})
         rep = codim1_analysis(L, parse_span(L, "x"), P)
@@ -378,6 +399,41 @@ class TestCodim1:
                 Subspace.span(3, [(1, 0, 0), (0, 1, 0)]),
                 P,
             )
+
+
+class TestAgreeOrCertify:
+    def test_agreement_runs_once(self):
+        calls = []
+
+        def run(pol):
+            calls.append(pol)
+            return "first"
+
+        assert _agree_or_certify(run, lambda r: True, P, "stub") == "first"
+        assert calls == [P]
+
+    def test_certified_rerun_resolves(self):
+        calls = []
+
+        def run(pol):
+            calls.append(pol)
+            return len(calls)
+
+        weak = RankPolicy(samples=2, certify=False, seed=7)
+        assert _agree_or_certify(run, lambda r: r == 2, weak, "stub") == 2
+        assert calls[0] == weak
+        assert calls[1] == weak.with_options(certify=True, samples=16)
+
+    def test_persistent_disagreement_raises(self):
+        calls = []
+
+        def run(pol):
+            calls.append(pol)
+            return None
+
+        with pytest.raises(InconsistentConditions, match="stub disagree"):
+            _agree_or_certify(run, lambda r: False, P, "stub")
+        assert len(calls) == 2 and calls[1].certify is True
 
 
 class TestCentralizerCheck:

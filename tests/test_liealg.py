@@ -41,6 +41,7 @@ from liecp.liealg import (
     new_lsa_algebra,
     parse_algebra,
     parse_assoc_algebra,
+    parse_lsa_algebra,
     parse_span,
     parse_vector_expr,
     quotient,
@@ -441,6 +442,92 @@ class TestFileFormat:
         a = dual_numbers()
         text = serialize_product_algebra(a, name="dual")
         assert parse_assoc_algebra(text) == a
+
+    def test_lsa_round_trip(self):
+        a = new_lsa_algebra(2, ("1", "t"), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
+        text = serialize_product_algebra(a, name="dual")
+        assert '"unit"' not in text
+        assert parse_lsa_algebra(text) == a
+
+
+def _dual_numbers_file(**changes) -> str:
+    import json
+
+    obj = json.loads(serialize_product_algebra(dual_numbers(), name="dual"))
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+_DUAL_PRODUCT = [
+    {"lhs": "1", "rhs": "1", "terms": {"1": "1"}},
+    {"lhs": "1", "rhs": "t", "terms": {"t": "1"}},
+    {"lhs": "t", "rhs": "1", "terms": {"t": "1"}},
+]
+
+
+class TestBracketFileErrors:
+    @pytest.mark.parametrize(
+        "brackets, message, location",
+        [
+            ({}, "field 'brackets' must be an array", "brackets"),
+            ([{"lhs": "x", "rhs": "y"}], "bracket entries need exactly lhs/rhs/terms", "brackets[0]"),
+            (
+                [{"lhs": "y", "rhs": "x", "terms": {}}],
+                "pair (y, x) must list the earlier basis label first",
+                "brackets[0]",
+            ),
+            (
+                [{"lhs": "x", "rhs": "y", "terms": {}}, {"lhs": "x", "rhs": "y", "terms": {}}],
+                "duplicate pair (x, y)",
+                "brackets[1]",
+            ),
+        ],
+    )
+    def test_error_and_location(self, brackets, message, location):
+        import json
+
+        text = json.dumps({"name": "bad", "dim": 2, "basis": ["x", "y"], "brackets": brackets})
+        with pytest.raises(ParseError) as err:
+            parse_algebra(text)
+        assert str(err.value) == f"{message} at {location}"
+
+
+class TestProductFileErrors:
+    @pytest.mark.parametrize(
+        "changes, message, location",
+        [
+            ({"product": {}}, "field 'product' must be an array", "product"),
+            (
+                {"product": [{"lhs": "1", "rhs": "t"}]},
+                "product entries need exactly lhs/rhs/terms",
+                "product[0]",
+            ),
+            (
+                {"product": [{"lhs": "1", "rhs": "t", "terms": {}, "extra": 1}]},
+                "product entries need exactly lhs/rhs/terms",
+                "product[0]",
+            ),
+            (
+                {"product": _DUAL_PRODUCT[:1] + [{"lhs": "1", "rhs": "s", "terms": {}}]},
+                "unknown label 's'",
+                "product[1]",
+            ),
+            (
+                {"product": _DUAL_PRODUCT + [{"lhs": "t", "rhs": "1", "terms": {}}]},
+                "duplicate pair (t, 1)",
+                "product[3]",
+            ),
+            ({"unit": {"u": "1"}}, "unknown label 'u'", "unit"),
+            ({"unit": {"1": "one"}}, "malformed rational 'one'", "unit.1"),
+        ],
+    )
+    def test_error_and_location(self, changes, message, location):
+        text = _dual_numbers_file(**changes)
+        for parse in (parse_assoc_algebra, parse_lsa_algebra):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.location == location
+            assert str(err.value) == f"{message} at {location}"
 
 
 class TestSpanParsing:
