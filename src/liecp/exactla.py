@@ -1,7 +1,14 @@
 """Exact rational linear algebra, sparse polynomials, and generic rank.
 
-All arithmetic is exact: dense matrices hold `fractions.Fraction` entries,
-and rank over the field of rational functions in several variables is
+All arithmetic is exact.  Dense matrices hold `fractions.Fraction` entries,
+and every elimination over Q runs through one fraction-free integer
+echelon routine, `_echelon`: each row is cleared of denominators by their
+lcm and kept primitive (divided by the gcd of its entries).  `rank_exact`
+counts its pivots; `rref` back-substitutes over its pivot rows and divides
+once at the end, and `kernel`, `solve_linear_system` and the subspace
+calculus in `liealg` all go through `rref`.
+
+Rank over the field of rational functions in several variables is
 computed in two ways that cross-check each other.
 
 * Randomized: evaluate the matrix of linear forms at integer points drawn
@@ -21,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ExactDivisionError
@@ -111,71 +118,72 @@ class QMatrix:
         return QMatrix(self.rows, other.cols, data)
 
 
-def rref(rows: Sequence[VecLike], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    a = [list(as_vector(r)) for r in rows]
+def _primitive(row: list[int]) -> list[int] | None:
+    """row divided by the gcd of its entries, or None for a zero row."""
+    g = gcd(*row)
+    if g == 0:
+        return None
+    return row if g == 1 else [x // g for x in row]
+
+
+def _eliminate(row: list[int], piv: list[int], c: int) -> list[int] | None:
+    """piv[c] * row - row[c] * piv made primitive: zero in column c."""
+    pc, f = piv[c], row[c]
+    return _primitive([pc * x - f * y for x, y in zip(row, piv)])
+
+
+def _echelon(rows: Sequence[VecLike], cols: int) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free forward elimination over the integers.
+
+    Each row is cleared of denominators by their lcm and kept primitive.
+    The pivot of a column is the first remaining row nonzero there; there
+    are no column swaps.  Returns the echelon rows and their pivot columns.
+    """
+    a = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        row = _primitive([x.numerator * (den // x.denominator) for x in r])
+        if row is not None:
+            a.append(row)
+    ech: list[list[int]] = []
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if pivot_row is None:
+        p = next((i for i, row in enumerate(a) if row[c]), None)
+        if p is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = a[r][c]
-        if inv != 1:
-            a[r] = [x / inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv = a.pop(p)
+        rest = a[:p]
+        for row in a[p:]:
+            if row[c]:
+                row = _eliminate(row, piv, c)
+                if row is None:
+                    continue
+            rest.append(row)
+        a = rest
+        ech.append(piv)
         pivots.append(c)
-        r += 1
-        if r == len(a):
+        if not a:
             break
-    return a[:r], pivots
+    return ech, pivots
+
+
+def rref(rows: Sequence[VecLike], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form. Returns (nonzero rows, pivot columns).
+
+    The forward pass of `_echelon`, then integer back-substitution over the
+    pivot rows, then one division per entry by the row's pivot.
+    """
+    ech, pivots = _echelon(rows, cols)
+    for k in range(len(ech) - 1, 0, -1):
+        for i in range(k):
+            if ech[i][pivots[k]]:
+                ech[i] = _eliminate(ech[i], ech[k], pivots[k])
+    return [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(ech, pivots)], pivots
 
 
 def rank_exact(m: QMatrix) -> int:
-    """Rank over the rationals by integer fraction-free (Bareiss) elimination.
-
-    Each row is first scaled to integers by the lcm of its denominators;
-    row scaling does not change the rank.
-    """
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a: list[list[int]] = []
-    for row in m.entries:
-        den = lcm(*(x.denominator for x in row))
-        a.append([int(x * den) for x in row])
-    nr, nc = m.rows, m.cols
-    rank = 0
-    prev = 1
-    while rank < min(nr, nc):
-        found = None
-        for j in range(rank, nc):
-            for i in range(rank, nr):
-                if a[i][j] != 0:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if found is None:
-            break
-        pi, pj = found
-        if pi != rank:
-            a[rank], a[pi] = a[pi], a[rank]
-        if pj != rank:
-            for row_ in a:
-                row_[rank], row_[pj] = row_[pj], row_[rank]
-        piv = a[rank][rank]
-        for i in range(rank + 1, nr):
-            rik = a[i][rank]
-            for j in range(rank + 1, nc):
-                a[i][j] = (piv * a[i][j] - rik * a[rank][j]) // prev
-            a[i][rank] = 0
-        prev = piv
-        rank += 1
-    return rank
+    """Rank over the rationals: the pivot count of `_echelon`."""
+    return len(_echelon(m.entries, m.cols)[1])
 
 
 def kernel(m: QMatrix) -> list[tuple[Fraction, ...]]:

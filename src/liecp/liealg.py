@@ -229,6 +229,33 @@ def _jacobi_defect(sc: Mapping[tuple[int, int], ScTable], dim: int, i: int, j: i
     return tuple(acc)
 
 
+def _clean_table(
+    kind: str, dim: int, labels: tuple[str, ...], table: Mapping[tuple[int, int], Mapping[int, "Fraction | int"]]
+) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """Structure constants as Fractions without zeros, every index checked
+    against dim; a "bracket" table must also have keys i < j."""
+    if len(labels) != dim:
+        raise ValueError("label count must equal dim")
+    if len(set(labels)) != dim:
+        raise ValueError("labels must be distinct")
+    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j), terms in table.items():
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise IndexOutOfRange(f"{kind} pair ({i}, {j}) out of range")
+        if kind == "bracket" and i >= j:
+            raise DuplicatePair(f"bracket keys must have i < j, got ({i}, {j})")
+        clean = {}
+        for k, c in terms.items():
+            if not (0 <= k < dim):
+                raise IndexOutOfRange(f"{kind} target {k} out of range in pair ({i}, {j})")
+            c = Fraction(c)
+            if c:
+                clean[k] = c
+        if clean:
+            sc[(i, j)] = clean
+    return sc
+
+
 def new_lie_algebra(
     dim: int,
     labels: Sequence[str],
@@ -236,27 +263,7 @@ def new_lie_algebra(
 ) -> LieAlgebra:
     """Validated constructor: distinct labels, i < j keys, exact Jacobi check."""
     labels = tuple(labels)
-    if len(labels) != dim:
-        raise ValueError("label count must equal dim")
-    if len(set(labels)) != dim:
-        raise ValueError("labels must be distinct")
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), table in brackets.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise IndexOutOfRange(f"bracket pair ({i}, {j}) out of range")
-        if i >= j:
-            raise DuplicatePair(f"bracket keys must have i < j, got ({i}, {j})")
-        if (i, j) in sc:
-            raise DuplicatePair(f"duplicate bracket pair ({i}, {j})")
-        clean = {}
-        for k, c in table.items():
-            if not (0 <= k < dim):
-                raise IndexOutOfRange(f"bracket target {k} out of range in pair ({i}, {j})")
-            c = Fraction(c)
-            if c:
-                clean[k] = c
-        if clean:
-            sc[(i, j)] = clean
+    sc = _clean_table("bracket", dim, labels, brackets)
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
@@ -589,29 +596,6 @@ AssocAlgebra = ProductAlgebra
 LSAAlgebra = ProductAlgebra
 
 
-def _clean_product_table(
-    dim: int, labels: Sequence[str], products: Mapping[tuple[int, int], Mapping[int, "Fraction | int"]]
-) -> dict[tuple[int, int], dict[int, Fraction]]:
-    if len(labels) != dim or len(set(labels)) != dim:
-        raise ValueError("labels must be distinct and match dim")
-    sc: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), table in products.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise IndexOutOfRange(f"product pair ({i}, {j}) out of range")
-        if (i, j) in sc:
-            raise DuplicatePair(f"duplicate product pair ({i}, {j})")
-        clean = {}
-        for k, c in table.items():
-            if not (0 <= k < dim):
-                raise IndexOutOfRange(f"product target {k} out of range")
-            c = Fraction(c)
-            if c:
-                clean[k] = c
-        if clean:
-            sc[(i, j)] = clean
-    return sc
-
-
 def new_assoc_algebra(
     dim: int,
     labels: Sequence[str],
@@ -619,7 +603,7 @@ def new_assoc_algebra(
     unit: VecLike | None = None,
 ) -> ProductAlgebra:
     labels = tuple(labels)
-    sc = _clean_product_table(dim, labels, products)
+    sc = _clean_table("product", dim, labels, products)
     alg = ProductAlgebra(dim, labels, sc, as_vector(unit) if unit is not None else None)
     for i in range(dim):
         for j in range(dim):
@@ -642,7 +626,7 @@ def new_lsa_algebra(
     products: Mapping[tuple[int, int], Mapping[int, "Fraction | int"]],
 ) -> ProductAlgebra:
     labels = tuple(labels)
-    sc = _clean_product_table(dim, labels, products)
+    sc = _clean_table("product", dim, labels, products)
     alg = ProductAlgebra(dim, labels, sc)
     for i in range(dim):
         for j in range(dim):
@@ -792,7 +776,7 @@ def _parse_file(text: str, field: str) -> tuple[int, tuple[str, ...], dict, Vect
             raise ParseError(f"{'bracket' if lie else 'product'} entries need exactly lhs/rhs/terms", location)
         lhs, rhs = item["lhs"], item["rhs"]
         for side in (lhs, rhs):
-            if side not in idx_of:
+            if not isinstance(side, str) or side not in idx_of:
                 raise ParseError(f"unknown label {side!r}", location)
         key = (idx_of[lhs], idx_of[rhs])
         if lie and key[0] >= key[1]:

@@ -216,3 +216,12 @@ class TestErrors:
         code, out = run(["cp-check", diamond_file, "--span", "nope", "--json"])
         assert code == 2
         assert_error_line(out, "cp-check")
+
+    def test_non_string_bracket_label(self, tmp_path):
+        # ParseError for an lhs that is a JSON array, not a label
+        path = tmp_path / "bad.alg"
+        entry = {"lhs": ["x"], "rhs": "y", "terms": {}}
+        path.write_text(json.dumps({"name": "x", "dim": 2, "basis": ["x", "y"], "brackets": [entry]}))
+        code, out = run(["index", str(path), "--json"])
+        assert code == 2
+        assert_error_line(out, "index")

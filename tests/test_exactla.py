@@ -1,10 +1,11 @@
 """Exact linear algebra: ranks, kernels, solving, and generic rank."""
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from liecp.errors import ExactDivisionError
 from liecp.exactla import (
@@ -15,10 +16,13 @@ from liecp.exactla import (
     evaluate,
     generic_rank,
     kernel,
+    random_point,
     rank_exact,
     rref,
     solve_linear_system,
 )
+from liecp.index import bracket_matrix
+from liecp.parabolic import CompositionA, nilradical_A
 
 F = Fraction
 
@@ -110,6 +114,56 @@ class TestSolve:
         sol = solve_linear_system(m, rhs)
         assert sol is not None
         assert m.mul_vector(sol) == rhs
+
+
+# Entries whose denominators need the lcm scaling and whose rows need the
+# gcd normalization, mixed with zeros and small values so ranks can drop.
+wide_entries = st.one_of(
+    st.just(F(0)),
+    rationals,
+    st.integers(-9, 9),
+    st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """(rows, cols) with zero rows, repeated or rescaled rows, and often more rows than columns."""
+    cols = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.lists(wide_entries, min_size=cols, max_size=cols), max_size=5))
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(rows)))
+        if rows and draw(st.booleans()):
+            scale = draw(st.sampled_from([F(1), F(-3), F(10**6, 7)]))
+            extra = [scale * F(x) for x in rows[draw(st.integers(0, len(rows) - 1))]]
+        else:
+            extra = [0] * cols
+        rows.insert(pos, extra)
+    return rows, cols
+
+
+class TestRrefReference:
+    @given(echelon_inputs())
+    @example(([], 3))
+    @example(([], 0))
+    @example(([[], []], 0))
+    @example(([[1, 2], [2, 4], [0, 0], [3, 1]], 2))
+    def test_matches_sympy(self, case):
+        rows, cols = case
+        red, pivots = rref(rows, cols)
+        ref, ref_pivots = sympy.Matrix(len(rows), cols, [sympy.Rational(x) for row in rows for x in row]).rref()
+        assert pivots == list(ref_pivots)
+        expected = [[F(int(x.p), int(x.q)) for x in ref.row(i)] for i in range(len(ref_pivots))]
+        assert red == expected
+
+    def test_rank_of_type_a_nilradical_matches_sympy(self):
+        L, _ = nilradical_A(CompositionA((1,) * 7))
+        assert L.dim >= 21
+        m = bracket_matrix(L)
+        rng = random.Random(0)
+        for _ in range(3):
+            b = evaluate(m, random_point(rng, L.dim, 10**6))
+            assert rank_exact(b) == sympy_rank(b)
 
 
 # The diamond algebra bracket matrix in dual coordinates (t, x, y, z):

@@ -481,6 +481,7 @@ class TestBracketFileErrors:
                 "duplicate pair (x, y)",
                 "brackets[1]",
             ),
+            ([{"lhs": ["x"], "rhs": "y", "terms": {}}], "unknown label ['x']", "brackets[0]"),
         ],
     )
     def test_error_and_location(self, brackets, message, location):
@@ -519,6 +520,11 @@ class TestProductFileErrors:
             ),
             ({"unit": {"u": "1"}}, "unknown label 'u'", "unit"),
             ({"unit": {"1": "one"}}, "malformed rational 'one'", "unit.1"),
+            (
+                {"product": _DUAL_PRODUCT[:1] + [{"lhs": "1", "rhs": {"t": "1"}, "terms": {}}]},
+                "unknown label {'t': '1'}",
+                "product[1]",
+            ),
         ],
     )
     def test_error_and_location(self, changes, message, location):
