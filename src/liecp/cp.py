@@ -54,6 +54,7 @@ from .exactla import (
     rank_exact,
 )
 from .index import (
+    Bf_matrix,
     frobenius_semiradical,
     index,
     invariant_symmetric_forms,
@@ -122,23 +123,15 @@ class CPReport:
 
 def pairing_matrix(L: LieAlgebra, p: Subspace) -> LinFormMatrix:
     """dim P x dim L matrix of linear forms expanding [h_i, x_j] in dual coordinates."""
-    rows = []
-    for h in p.basis:
-        row = []
-        for j in range(L.dim):
-            form: dict[int, Fraction] = {}
-            for a, coeff in enumerate(h):
-                if not coeff:
-                    continue
+    def entry(r: int, j: int) -> dict[int, Fraction]:
+        form: dict[int, Fraction] = {}
+        for a, coeff in enumerate(p.basis[r]):
+            if coeff:
                 for k, c in L.bracket_table(a, j).items():
-                    v = form.get(k, ZERO) + coeff * c
-                    if v:
-                        form[k] = v
-                    else:
-                        form.pop(k, None)
-            row.append(form)
-        rows.append(tuple(row))
-    return LinFormMatrix(p.dim, L.dim, L.dim, tuple(rows))
+                    form[k] = form.get(k, ZERO) + coeff * c
+        return form  # build drops the coefficients that cancelled to zero
+
+    return LinFormMatrix.build(p.dim, L.dim, L.dim, entry)
 
 
 def is_cp(L: LieAlgebra, p: Subspace, policy: RankPolicy = DEFAULT_POLICY) -> CPReport:
@@ -178,13 +171,14 @@ def is_cp(L: LieAlgebra, p: Subspace, policy: RankPolicy = DEFAULT_POLICY) -> CP
 
 
 def perp_of(L: LieAlgebra, p: Subspace, f: Functional) -> Subspace:
-    """P^f = {x in L : f([x, h]) = 0 for all h in P}, computed exactly."""
-    rows = []
-    for h in p.basis:
-        rows.append([f(L.bracket(L.basis_vector(j), h)) for j in range(L.dim)])
-    if not rows:
-        return Subspace.full(L.dim)
-    return Subspace(L.dim, tuple(kernel(QMatrix.from_rows(rows, L.dim))))
+    """P^f = {x in L : f([x, h]) = 0 for all h in P}, computed exactly.
+
+    The condition for h is the row B_f h, since f([x_j, h]) = sum_a h_a f([x_j, x_a]).
+    """
+    if p.ambient_dim != L.dim:
+        raise AmbientMismatch("subspace ambient dimension differs from the algebra")
+    bf = Bf_matrix(L, f)
+    return Subspace(L.dim, tuple(kernel(QMatrix.from_rows([bf.mul_vector(h) for h in p.basis], L.dim))))
 
 
 def cp_witness_functional(
@@ -274,7 +268,8 @@ def verify_no_cp_certificate(
     """Re-check the evidence exactly (certified index for the regularity checks)."""
     certified = policy.with_options(certify=True)
     if cert.kind == FSR_KIND:
-        if cert.pair is None or not cert.functionals:
+        pair_ok = cert.pair is not None and len(cert.pair) == 2 and all(len(w) == L.dim for w in cert.pair)
+        if not pair_ok or not cert.functionals or any(f.ambient_dim != L.dim for f in cert.functionals):
             return False
         idx = index(L, certified)
         span = Subspace.zero(L.dim)
@@ -286,9 +281,9 @@ def verify_no_cp_certificate(
         u, v = cert.pair
         return span.contains(u) and span.contains(v) and any(c != 0 for c in L.bracket(u, v))
     if cert.kind == FORM_KIND:
-        if cert.form_point is None:
-            return False
         family = invariant_symmetric_forms(L)
+        if cert.form_point is None or len(cert.form_point) != family.nvars:
+            return False
         b = evaluate(family, cert.form_point)
         if rank_exact(b) != L.dim:
             return False

@@ -45,7 +45,8 @@ CERTIFY_SIDE_LIMIT = 12
 
 
 def as_vector(values: VecLike) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    """values as a tuple of Fractions; entries that already are pass through."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def random_point(rng: random.Random, n: int, bound: int) -> tuple[Fraction, ...]:
@@ -105,7 +106,8 @@ class QMatrix:
         vv = as_vector(v)
         if len(vv) != self.cols:
             raise ValueError("vector length must equal cols")
-        return tuple(sum((row[j] * vv[j] for j in range(self.cols)), ZERO) for row in self.entries)
+        nonzero = [(j, x) for j, x in enumerate(vv) if x]
+        return tuple(sum((row[j] * x for j, x in nonzero), ZERO) for row in self.entries)
 
     def matmul(self, other: QMatrix) -> QMatrix:
         if self.cols != other.rows:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SamplingExhausted
+from .errors import AmbientMismatch, SamplingExhausted
 from .exactla import (
     DEFAULT_POLICY,
     ZERO,
@@ -42,19 +42,22 @@ def bracket_matrix(L: LieAlgebra) -> LinFormMatrix:
 
 
 def index(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> IndexReport:
-    rank, certified = generic_rank(bracket_matrix(L), policy)
-    return IndexReport(L.dim - rank, rank, certified, policy.seed)
+    """Computed once per algebra instance and policy, then kept on the instance."""
+    if policy not in L._index_reports:
+        rank, certified = generic_rank(bracket_matrix(L), policy)
+        L._index_reports[policy] = IndexReport(L.dim - rank, rank, certified, policy.seed)
+    return L._index_reports[policy]
 
 
 def Bf_matrix(L: LieAlgebra, f: Functional) -> QMatrix:
     """Alternating form (i, j) -> f([x_i, x_j])."""
-    data = []
-    for i in range(L.dim):
-        row = []
-        for j in range(L.dim):
-            row.append(sum((c * f.coords[k] for k, c in L.bracket_table(i, j).items()), ZERO))
-        data.append(tuple(row))
-    return QMatrix(L.dim, L.dim, tuple(data))
+    if f.ambient_dim != L.dim:
+        raise AmbientMismatch("functional dimension differs from the algebra")
+    data = [[ZERO] * L.dim for _ in range(L.dim)]
+    for (i, j), table in L.sc.items():
+        data[i][j] = sum((c * f.coords[k] for k, c in table.items()), ZERO)
+        data[j][i] = -data[i][j]
+    return QMatrix(L.dim, L.dim, tuple(map(tuple, data)))
 
 
 def stabilizer(L: LieAlgebra, f: Functional) -> Subspace:

@@ -1,9 +1,12 @@
 """Lie algebra data model, subspace calculus, constructors, and file format.
 
 Structure constants are stored sparsely, one table per basis pair (i, j)
-with i < j; antisymmetry is implicit.  Every constructor re-validates the
-Jacobi identity on all basis triples, exactly.  Subspaces are kept in
-reduced row echelon form so that subspace equality is tuple equality.
+with i < j; antisymmetry is implicit.  The bracket iterates the nonzero
+coordinates of its arguments and looks up only those pairs.  Every
+constructor re-validates the Jacobi identity exactly, accumulating the
+defect sparsely over the basis triples that contain a bracketing pair (any
+other triple has zero defect).  Subspaces are kept in reduced row echelon
+form so that subspace equality is tuple equality.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -80,7 +84,7 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    @property
+    @cached_property
     def pivots(self) -> tuple[int, ...]:
         return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
 
@@ -92,23 +96,21 @@ class Subspace:
         for row, p in zip(self.basis, self.pivots):
             c = w[p]
             if c:
-                for j in range(self.ambient_dim):
-                    w[j] -= c * row[j]
+                for j, x in enumerate(row):
+                    if x:
+                        w[j] -= c * x
         return tuple(w)
 
     def contains(self, v: VecLike) -> bool:
         return all(x == 0 for x in self.residual(v))
 
     def coordinates_of(self, v: VecLike) -> Vector | None:
-        """Coefficients c with v = sum c_i basis_i, or None if v is outside."""
+        """Coefficients c with v = sum c_i basis_i, or None if v is outside.
+
+        The pivot columns of the reduced echelon rows are unit vectors, so the
+        coefficients are v's pivot coordinates."""
         w = as_vector(v)
-        coords = tuple(w[p] for p in self.pivots)
-        rebuilt = _zero_vec(self.ambient_dim)
-        for c, row in zip(coords, self.basis):
-            _add_scaled(rebuilt, dict(enumerate(row)), c)
-        if tuple(rebuilt) != w:
-            return None
-        return coords
+        return tuple(w[p] for p in self.pivots) if self.contains(w) else None
 
     def contains_subspace(self, other: Subspace) -> bool:
         return all(self.contains(row) for row in other.basis)
@@ -125,15 +127,10 @@ class Subspace:
         p, m = self.dim, other.dim
         if p == 0 or m == 0:
             return Subspace.zero(self.ambient_dim)
-        rows = []
-        for coord in range(self.ambient_dim):
-            rows.append([self.basis[i][coord] for i in range(p)] + [-other.basis[j][coord] for j in range(m)])
-        vectors = []
-        for sol in kernel(QMatrix.from_rows(rows, p + m)):
-            v = _zero_vec(self.ambient_dim)
-            for i in range(p):
-                _add_scaled(v, dict(enumerate(self.basis[i])), sol[i])
-            vectors.append(v)
+        cols = list(zip(*self.basis))
+        rows = [col + tuple(-x for x in other_col) for col, other_col in zip(cols, zip(*other.basis))]
+        solutions = kernel(QMatrix.from_rows(rows, p + m))
+        vectors = [[sum((a * b for a, b in zip(col, sol)), ZERO) for col in cols] for sol in solutions]
         return Subspace.span(self.ambient_dim, vectors)
 
 
@@ -163,7 +160,7 @@ class Functional:
         vv = as_vector(v)
         if len(vv) != self.ambient_dim:
             raise AmbientMismatch("vector length must equal ambient_dim")
-        return sum((a * b for a, b in zip(self.coords, vv)), ZERO)
+        return sum((a * b for a, b in zip(self.coords, vv) if a and b), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +182,22 @@ class LieAlgebra:
 
     def bracket_table(self, i: int, j: int) -> dict[int, Fraction]:
         """Table of [x_i, x_j] for basis indices, sign handled."""
-        return _signed_table(self.sc, i, j)
+        if i <= j:
+            return dict(self.sc.get((i, j), {}))
+        return {k: -c for k, c in self.sc.get((j, i), {}).items()}
 
     def bracket(self, u: VecLike, v: VecLike) -> Vector:
         uu, vv = as_vector(u), as_vector(v)
         if len(uu) != self.dim or len(vv) != self.dim:
             raise AmbientMismatch("vectors must have length dim")
         acc = _zero_vec(self.dim)
-        for (i, j), table in self.sc.items():
-            coeff = uu[i] * vv[j] - uu[j] * vv[i]
-            _add_scaled(acc, table, coeff)
+        nonzero_v = [(j, y) for j, y in enumerate(vv) if y]
+        for i, x in enumerate(uu):
+            if x:
+                for j, y in nonzero_v:
+                    table = self.sc.get((i, j) if i < j else (j, i))
+                    if table:
+                        _add_scaled(acc, table, x * y if i < j else -x * y)
         return tuple(acc)
 
     def basis_vector(self, i: int) -> Vector:
@@ -202,8 +205,8 @@ class LieAlgebra:
 
     def ad(self, v: VecLike) -> QMatrix:
         """Matrix of w -> [v, w] in the basis (columns are [v, x_j])."""
-        cols = [self.bracket(v, self.basis_vector(j)) for j in range(self.dim)]
-        return QMatrix(self.dim, self.dim, tuple(tuple(col[k] for col in cols) for k in range(self.dim)))
+        cols = tuple(self.bracket(v, self.basis_vector(j)) for j in range(self.dim))
+        return QMatrix(self.dim, self.dim, cols).transpose()
 
     def subspace(self, vectors: Iterable[VecLike]) -> Subspace:
         return Subspace.span(self.dim, vectors)
@@ -211,22 +214,20 @@ class LieAlgebra:
     def span_of_labels(self, labels: Iterable[str]) -> Subspace:
         return self.subspace([self.basis_vector(self.label_index(lb)) for lb in labels])
 
-
-def _signed_table(sc: Mapping[tuple[int, int], ScTable], i: int, j: int) -> dict[int, Fraction]:
-    """[x_i, x_j] from tables stored for i < j only."""
-    if i == j:
+    @cached_property
+    def _index_reports(self) -> dict:
+        """IndexReport per RankPolicy, filled by `index.index`."""
         return {}
-    if i < j:
-        return dict(sc.get((i, j), {}))
-    return {k: -c for k, c in sc.get((j, i), {}).items()}
 
 
-def _jacobi_defect(sc: Mapping[tuple[int, int], ScTable], dim: int, i: int, j: int, k: int) -> Vector:
-    acc = _zero_vec(dim)
+def _jacobi_defect(signed: Mapping[tuple[int, int], ScTable], i: int, j: int, k: int) -> dict[int, Fraction]:
+    """Nonzero coordinates of [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j]."""
+    acc: dict[int, Fraction] = {}
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        for p, coeff in _signed_table(sc, a, b).items():
-            _add_scaled(acc, _signed_table(sc, p, c), coeff)
-    return tuple(acc)
+        for p, coeff in signed.get((a, b), {}).items():
+            for q, d in signed.get((p, c), {}).items():
+                acc[q] = acc.get(q, ZERO) + coeff * d
+    return {q: x for q, x in acc.items() if x}
 
 
 def _clean_table(
@@ -264,12 +265,18 @@ def new_lie_algebra(
     """Validated constructor: distinct labels, i < j keys, exact Jacobi check."""
     labels = tuple(labels)
     sc = _clean_table("bracket", dim, labels, brackets)
+    signed = {(j, i): {k: -c for k, c in table.items()} for (i, j), table in sc.items()} | sc
+    partners: list[set[int]] = [set() for _ in range(dim)]
+    for i, j in signed:
+        partners[i].add(j)
     for i in range(dim):
         for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                defect = _jacobi_defect(sc, dim, i, j, k)
-                if any(x != 0 for x in defect):
-                    raise JacobiViolation((i, j, k), defect, labels)
+            # a triple with no bracketing pair among (i, j), (i, k), (j, k) has zero defect
+            ks = range(j + 1, dim) if j in partners[i] else sorted(k for k in partners[i] | partners[j] if k > j)
+            for k in ks:
+                defect = _jacobi_defect(signed, i, j, k)
+                if defect:
+                    raise JacobiViolation((i, j, k), tuple(defect.get(q, ZERO) for q in range(dim)), labels)
     return LieAlgebra(dim, labels, sc)
 
 
@@ -304,27 +311,17 @@ def center(L: LieAlgebra) -> Subspace:
         for k, c in table.items():
             row(j, k)[i] += c
             row(i, k)[j] -= c
-    if not rows:
-        return Subspace.full(L.dim)
     m = QMatrix.from_rows([rows[key] for key in sorted(rows)], L.dim)
     return Subspace(L.dim, tuple(kernel(m)))
 
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    vectors = []
-    for table in L.sc.values():
-        v = _zero_vec(L.dim)
-        _add_scaled(v, table, ONE)
-        vectors.append(v)
-    return Subspace.span(L.dim, vectors)
+    return Subspace.span(L.dim, [[table.get(k, ZERO) for k in range(L.dim)] for table in L.sc.values()])
 
 
 def centralizer(L: LieAlgebra, u: VecLike) -> Subspace:
-    """Kernel of v -> [v, u]."""
-    uu = as_vector(u)
-    cols = [L.bracket(L.basis_vector(i), uu) for i in range(L.dim)]
-    m = QMatrix(L.dim, L.dim, tuple(tuple(col[k] for col in cols) for k in range(L.dim)))
-    return Subspace(L.dim, tuple(kernel(m)))
+    """Kernel of v -> [v, u], which is the kernel of ad u."""
+    return Subspace(L.dim, tuple(kernel(L.ad(u))))
 
 
 def is_abelian(L: LieAlgebra, s: Subspace) -> bool:
@@ -659,8 +656,8 @@ def left_mult_action(a: ProductAlgebra) -> list[QMatrix]:
     """Matrices of u -> (v -> uv), one per basis element."""
     mats = []
     for i in range(a.dim):
-        cols = [a.product(a.basis_vector(i), a.basis_vector(j)) for j in range(a.dim)]
-        mats.append(QMatrix(a.dim, a.dim, tuple(tuple(col[k] for col in cols) for k in range(a.dim))))
+        cols = tuple(a.product(a.basis_vector(i), a.basis_vector(j)) for j in range(a.dim))
+        mats.append(QMatrix(a.dim, a.dim, cols).transpose())
     return mats
 
 

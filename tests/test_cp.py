@@ -1,11 +1,15 @@
 """CP verification, witnesses, certificates, search, and lemma checks."""
 
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from liecp import catalog
 from liecp.errors import (
+    AmbientMismatch,
     ChainGap,
     InconsistentConditions,
     NotAnIdeal,
@@ -14,7 +18,7 @@ from liecp.errors import (
     NotRegular,
     WrongCodimension,
 )
-from liecp.exactla import RankPolicy
+from liecp.exactla import QMatrix, RankPolicy, kernel
 from liecp.liealg import (
     Functional,
     Subspace,
@@ -520,3 +524,62 @@ class TestConsistency:
         L = morozov4()
         p = search_cp(L, P)
         assert p.contains_subspace(frobenius_semiradical(L, P).subspace + center(L))
+
+
+def perp_by_brackets(L, p, f):
+    """P^f from its definition: the common kernel of x -> f([x, h]) over the basis of P."""
+    rows = [[f(L.bracket(L.basis_vector(j), h)) for j in range(L.dim)] for h in p.basis]
+    return Subspace(L.dim, tuple(kernel(QMatrix.from_rows(rows, L.dim)))) if rows else Subspace.full(L.dim)
+
+
+_CATALOG = [catalog.get(name) for name in catalog.names()]
+
+
+class TestPerpOf:
+    @given(st.data())
+    def test_equals_bracket_definition(self, data):
+        L = data.draw(st.sampled_from(_CATALOG))
+        vectors = st.lists(st.integers(-3, 3), min_size=L.dim, max_size=L.dim)
+        p = Subspace.span(L.dim, data.draw(st.lists(vectors, max_size=3)))
+        f = Functional(L.dim, tuple(F(x) for x in data.draw(vectors)))
+        assert perp_of(L, p, f) == perp_by_brackets(L, p, f)
+
+    def test_wrong_dimensions_rejected(self):
+        L = h3()
+        with pytest.raises(AmbientMismatch):
+            perp_of(L, parse_span(L, "z"), Functional(4, (F(1),) * 4))
+        with pytest.raises(AmbientMismatch):
+            perp_of(L, parse_span(L, "z"), Functional(2, (F(1),) * 2))
+        with pytest.raises(AmbientMismatch):
+            perp_of(L, Subspace.full(4), Functional(3, (F(1),) * 3))
+
+
+@cache
+def _valid_certificates(name):
+    L = catalog.get(name)
+    return L, no_cp_certificate(L, P, kind=FSR_KIND), no_cp_certificate(L, P, kind=FORM_KIND)
+
+
+def _first_functional(fsr, coords):
+    return replace(fsr, functionals=(Functional(len(coords), coords),))
+
+
+# one piece of evidence of the wrong shape, built from valid certificates of both kinds
+_MALFORMED = {
+    "truncated pair vector": lambda fsr, form: replace(fsr, pair=(fsr.pair[0][:-1], fsr.pair[1])),
+    "extended pair vector": lambda fsr, form: replace(fsr, pair=(fsr.pair[0], fsr.pair[1] + (F(0),))),
+    "pair of four vectors": lambda fsr, form: replace(fsr, pair=fsr.pair * 2),
+    "short functional": lambda fsr, form: _first_functional(fsr, fsr.functionals[0].coords[:-1]),
+    "long functional": lambda fsr, form: _first_functional(fsr, fsr.functionals[0].coords + (F(1),)),
+    "short form point": lambda fsr, form: replace(form, form_point=form.form_point[:-1]),
+    "long form point": lambda fsr, form: replace(form, form_point=form.form_point + (F(1),)),
+}
+
+
+class TestMalformedCertificates:
+    @pytest.mark.parametrize("name", ["diamond", "g5", "g6", "sl2_irr3"])
+    @pytest.mark.parametrize("shape", list(_MALFORMED))
+    def test_rejected_not_raised(self, name, shape):
+        L, fsr, form = _valid_certificates(name)
+        assert verify_no_cp_certificate(L, fsr, P) and verify_no_cp_certificate(L, form, P)
+        assert verify_no_cp_certificate(L, _MALFORMED[shape](fsr, form), P) is False

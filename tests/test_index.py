@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from liecp import index as index_module
+from liecp.errors import AmbientMismatch
 from liecp.exactla import RankPolicy
 from liecp.liealg import (
     Functional,
@@ -19,6 +21,7 @@ from liecp.liealg import (
     tensor_commutative,
 )
 from liecp.index import (
+    Bf_matrix,
     bracket_matrix,
     frobenius_semiradical,
     has_nondeg_invariant_form,
@@ -30,6 +33,7 @@ from liecp.index import (
     sample_regular,
     stabilizer,
 )
+from liecp.parabolic import verify_theorem62
 
 F = Fraction
 P = RankPolicy()
@@ -345,3 +349,50 @@ class TestIndexArithmetic:
         assert extended.dim == 8
         assert index(extended, P).index == 2
         assert center(extended).dim == 1
+
+
+class TestBfMatrixDimension:
+    @pytest.mark.parametrize("coords", [(1, 2, 3, 4), (1, 2)])
+    def test_functional_of_wrong_length_rejected(self, coords):
+        L = h3()
+        f = Functional(len(coords), tuple(F(c) for c in coords))
+        with pytest.raises(AmbientMismatch):
+            Bf_matrix(L, f)
+        with pytest.raises(AmbientMismatch):
+            stabilizer(L, f)
+
+
+class TestIndexComputedOnce:
+    """index(L, policy) runs generic_rank on the bracket matrix once per algebra instance and policy."""
+
+    @pytest.fixture
+    def rank_calls(self, monkeypatch):
+        calls = []
+        real = index_module.generic_rank
+
+        def counting(m, policy=P):
+            calls.append(policy)
+            return real(m, policy)
+
+        monkeypatch.setattr(index_module, "generic_rank", counting)
+        return calls
+
+    def test_verify_theorem62_one_call_per_policy(self, rank_calls):
+        for policy in (P, RankPolicy(seed=5)):
+            rank_calls.clear()
+            assert verify_theorem62((2, 1, 2), "A", policy).ok
+            assert rank_calls == [policy]
+
+    def test_repeated_index_on_one_instance(self, rank_calls):
+        L = morozov4()
+        reports = [index(L, P) for _ in range(3)]
+        assert rank_calls == [P] and reports == [reports[0]] * 3
+
+    def test_distinct_policies_and_instances(self, rank_calls):
+        first, second = morozov4(), morozov4()
+        other = RankPolicy(seed=1)
+        for L in (first, second):
+            for policy in (P, other, P, other):
+                index(L, policy)
+        assert rank_calls == [P, other, P, other]
+        assert index(first, other).index == index(second, P).index == 2

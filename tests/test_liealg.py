@@ -586,3 +586,100 @@ class TestScalingProperties:
         assert Subspace.span(3, s.basis) == s
         for v in vectors:
             assert s.contains(v)
+
+
+# ---------------------------------------------------------------------------
+# Sparse bracket and Jacobi check against dense references
+# ---------------------------------------------------------------------------
+
+from liecp import catalog
+from liecp.parabolic import CompositionA, nilradical_A
+
+# the catalog and the dim-21 type-A nilradical of the composition 1^7
+_REFERENCE_ALGEBRAS = [catalog.get(name) for name in catalog.names()] + [nilradical_A(CompositionA((1,) * 7))[0]]
+
+
+def dense_bracket(L, u, v):
+    """The dense bracket: sum over every key of sc of (u_i v_j - u_j v_i) [x_i, x_j]."""
+    acc = [F(0)] * L.dim
+    for (i, j), table in L.sc.items():
+        coeff = F(u[i]) * F(v[j]) - F(u[j]) * F(v[i])
+        for k, c in table.items():
+            acc[k] += coeff * c
+    return tuple(acc)
+
+
+def dense_jacobi_failure(dim, sc):
+    """First triple i < j < k with a nonzero dense Jacobi defect, and that defect."""
+    L = LieAlgebra(dim, tuple(f"x{i}" for i in range(dim)), sc)
+    e = [L.basis_vector(i) for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                cyclic = ((i, j, k), (j, k, i), (k, i, j))
+                terms = [dense_bracket(L, dense_bracket(L, e[a], e[b]), e[c]) for a, b, c in cyclic]
+                defect = tuple(sum(column, F(0)) for column in zip(*terms))
+                if any(defect):
+                    return (i, j, k), defect
+    return None
+
+
+_entries = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def _vectors(draw, dim):
+    """A dense vector, or a sparse one with at most three nonzero coordinates."""
+    if draw(st.booleans()):
+        return draw(st.lists(_entries, min_size=dim, max_size=dim))
+    support = draw(st.dictionaries(st.integers(0, dim - 1), _entries, max_size=3))
+    return [support.get(k, 0) for k in range(dim)]
+
+
+@st.composite
+def _tables(draw, dim):
+    """Random bracket tables on dim basis elements; most break the Jacobi identity."""
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    return {key: draw(st.dictionaries(st.integers(0, dim - 1), st.integers(-2, 2), max_size=2)) for key in keys}
+
+
+class TestSparseAgainstDense:
+    @given(st.data())
+    def test_bracket_equals_dense_reference(self, data):
+        L = data.draw(st.sampled_from(_REFERENCE_ALGEBRAS))
+        u, v = data.draw(_vectors(L.dim)), data.draw(_vectors(L.dim))
+        assert L.bracket(u, v) == dense_bracket(L, u, v)
+
+    def test_nilradical_basis_brackets(self):
+        L = _REFERENCE_ALGEBRAS[-1]
+        assert L.dim == 21
+        for i in range(L.dim):
+            for j in range(L.dim):
+                u, v = L.basis_vector(i), L.basis_vector(j)
+                assert L.bracket(u, v) == dense_bracket(L, u, v)
+
+    @given(st.integers(3, 5).flatmap(lambda dim: st.tuples(st.just(dim), _tables(dim))))
+    def test_jacobi_check_matches_dense_check(self, case):
+        dim, table = case
+        sc = {key: {k: F(c) for k, c in terms.items() if c} for key, terms in table.items()}
+        sc = {key: terms for key, terms in sc.items() if terms}
+        expected = dense_jacobi_failure(dim, sc)
+        if expected is None:
+            assert new_lie_algebra(dim, tuple(f"x{i}" for i in range(dim)), table).sc == sc
+        else:
+            with pytest.raises(JacobiViolation) as info:
+                new_lie_algebra(dim, tuple(f"x{i}" for i in range(dim)), table)
+            assert (info.value.triple, info.value.defect) == expected
+
+    def test_several_failures_report_the_first(self):
+        # [x1,x3] = x1, [x2,x4] = x3, [x3,x4] = x3.  On (x1,x2,x4) the defect is
+        # [[x2,x4],x1] = [x3,x1] = -x1, on (x1,x3,x4) it is [[x3,x4],x1] = -x1;
+        # every other triple has zero defect, so (1, 2, 4) is reported.
+        table = {(1, 3): {1: 1}, (2, 4): {3: 1}, (3, 4): {3: 1}}
+        with pytest.raises(JacobiViolation) as info:
+            new_lie_algebra(5, tuple(f"x{i}" for i in range(5)), table)
+        assert info.value.triple == (1, 2, 4)
+        assert info.value.defect == (F(0), F(-1), F(0), F(0), F(0))
+        sc = {key: {k: F(c) for k, c in terms.items()} for key, terms in table.items()}
+        assert dense_jacobi_failure(5, sc) == ((1, 2, 4), info.value.defect)
