@@ -27,16 +27,15 @@ from .cp import (
     verify_index_chain,
     verify_no_cp_certificate,
 )
-from .index import frobenius_semiradical, has_nondeg_invariant_form, index, stabilizer
+from .index import frobenius_semiradical, has_nondeg_invariant_form, index
 from .liealg import (
     Functional,
     center,
-    is_ideal,
+    parse_action,
     parse_algebra,
     parse_assoc_algebra,
     parse_span,
     parse_vector_expr,
-    quotient,
 )
 from .parabolic import (
     index_formula_A,
@@ -297,39 +296,23 @@ def _cmd_quotient(args, policy):
     L = _load_algebra(args.file)
     a = parse_span(L, args.ideal)
     f = Functional(L.dim, parse_vector_expr(L, args.functional))
-    if args.span is not None:
-        rep = quotient_cp_check(L, parse_span(L, args.span), a, f, policy)
-        payload = {
-            "quotient_dim": rep.quotient_dim,
-            "index_parent": rep.index_parent,
-            "index_quotient": rep.index_quotient,
-            "drop_ok": rep.drop_ok,
-            "cp_in_quotient": rep.cp_in_quotient.is_cp,
-            "ok": rep.ok,
-        }
+    p = None if args.span is None else parse_span(L, args.span)
+    rep = quotient_cp_check(L, p, a, f, policy)
+    payload = {
+        "quotient_dim": rep.quotient_dim,
+        "index_parent": rep.index_parent,
+        "index_quotient": rep.index_quotient,
+        "drop_ok": rep.drop_ok,
+    }
+    if p is None:
+        lines = [f"index {rep.index_parent} -> {rep.index_quotient} through a {a.dim}-dim ideal (ok: {rep.ok})"]
+    else:
+        payload |= {"cp_in_quotient": rep.cp_in_quotient.is_cp, "ok": rep.ok}
         lines = [
             f"index {rep.index_parent} -> {rep.index_quotient} (drop ok: {rep.drop_ok}), "
             f"projected span is CP: {rep.cp_in_quotient.is_cp}"
         ]
-        return (0 if rep.ok else 1), payload, lines
-    if not is_ideal(L, a):
-        raise LiecpError("--ideal span is not an ideal")
-    if any(f(row) != 0 for row in a.basis):
-        raise LiecpError("functional does not vanish on the ideal")
-    idx = index(L, policy)
-    if stabilizer(L, f).dim != idx.index:
-        raise LiecpError("functional is not regular")
-    q, _ = quotient(L, a)
-    q_idx = index(q, policy)
-    ok = q_idx.index == idx.index - a.dim
-    payload = {
-        "quotient_dim": q.dim,
-        "index_parent": idx.index,
-        "index_quotient": q_idx.index,
-        "drop_ok": ok,
-    }
-    lines = [f"index {idx.index} -> {q_idx.index} through a {a.dim}-dim ideal (ok: {ok})"]
-    return (0 if ok else 1), payload, lines
+    return (0 if rep.ok else 1), payload, lines
 
 
 def _parse_params(pairs):
@@ -453,11 +436,7 @@ def _cmd_frobenius_assoc(args, policy):
 
 def _cmd_semidirect(args, policy):
     g = _load_algebra(args.gfile)
-    spec = json.loads(Path(args.action).read_text())
-    dim_v = int(spec["dim_v"])
-    matrices = [
-        [[Fraction(x) for x in row] for row in mat] for mat in spec["matrices"]
-    ]
+    dim_v, matrices = parse_action(Path(args.action).read_text())
     rep = semidirect_cp_report(g, matrices, dim_v, policy)
     payload = {"conditions": dict(rep.conditions), "consistent": rep.consistent}
     positive = all(rep.conditions.values())

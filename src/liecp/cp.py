@@ -9,6 +9,11 @@ a randomized-rank artifact.  Every check of equivalent conditions, here and
 in constructions.py, goes through `_agree_or_certify`: on disagreement it
 re-runs once with certified ranks and only then reports an error.
 
+`search_cp` walks cliques of the commuting graph and re-checks no candidate:
+an abelian subalgebra a is isotropic for every B_f, so dim a <= (dim L + i)/2;
+the sampled index i_s is at least i; so an abelian span of dimension
+(dim L + i_s)/2 forces i_s = i and is a CP.
+
 Negative results are certified soundly through two routes: a pair of
 vectors in the sampled stabilizer span with nonzero bracket (the sampled
 span is always contained in the true stabilizer-span ideal, which any CP
@@ -27,7 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import (
     AmbientMismatch,
@@ -314,59 +319,54 @@ _COMBO_COEFFS = (
 )
 
 
-def search_cp(
-    L: LieAlgebra,
-    policy: RankPolicy = DEFAULT_POLICY,
-    combo_coeffs: Sequence[Fraction] = _COMBO_COEFFS,
-) -> Subspace | None:
-    """Enumerate coordinate spans, then spans with one two-label combination.
+def _commuting_sets(
+    L: LieAlgebra, size: int, required: frozenset[int] | set[int] = frozenset(), missing: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Label sets of `size` whose basis vectors pairwise commute and that miss at
+    most `missing` labels of `required`, in `itertools.combinations` order."""
+    clash = [{j for j in range(L.dim) if L.bracket_table(i, j)} for i in range(L.dim)]
 
-    Candidates must contain the center and the sampled stabilizer span.
-    The first verified CP in lexicographic order wins; absence of a result
-    is NOT a proof of non-existence.
+    def walk(chosen, free):
+        if len(chosen) == size:
+            yield chosen
+            return
+        for t, v in enumerate(free):
+            rest = [w for w in free[t + 1:] if w not in clash[v]]
+            if len(chosen) + 1 + len(rest) >= size and len(required - {*chosen, v, *rest}) <= missing:
+                yield from walk((*chosen, v), rest)
+
+    return walk((), list(range(L.dim)))
+
+
+def search_cp(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> Subspace | None:
+    """First abelian span of dimension d = (dim L + i_s)/2 containing the center
+    and the sampled stabilizer span: a commuting coordinate span, else one with
+    a two-label combination, in lexicographic order.  It is a CP unchecked:
+    an abelian subalgebra is isotropic for every B_f, so its dimension is at
+    most (dim L + i)/2; the sampled index i_s is at least i; so d forces i_s = i.
+    Absence of a result is NOT a proof of non-existence.
     """
     idx = index(L, policy)
     if (L.dim + idx.index) % 2 != 0:
         raise InconsistentConditions("dim + index must be even")
     d = (L.dim + idx.index) // 2
-    fsr = frobenius_semiradical(L, policy).subspace
-    must_contain = fsr + center(L)
+    must_contain = frobenius_semiradical(L, policy).subspace + center(L)
     if must_contain.dim > d:
         return None
-    support = set()
-    for row in must_contain.basis:
-        support.update(j for j, x in enumerate(row) if x != 0)
-
-    def confirmed(candidate: Subspace) -> bool:
-        return (
-            candidate.dim == d
-            and candidate.contains_subspace(must_contain)
-            and is_abelian(L, candidate)
-            and is_subalgebra(L, candidate)
-            and is_cp(L, candidate, policy).is_cp
-        )
-
-    for subset in itertools.combinations(range(L.dim), d):
-        if not support <= set(subset):
-            continue
-        candidate = Subspace.span(L.dim, [L.basis_vector(i) for i in subset])
-        if confirmed(candidate):
-            return candidate
-    if d == 0:
-        return None
-    for subset in itertools.combinations(range(L.dim), d - 1):
+    support = {j for row in must_contain.basis for j, x in enumerate(row) if x != 0}
+    first = next(_commuting_sets(L, d, support), None)
+    if first is not None:
+        return Subspace(L.dim, tuple(L.basis_vector(i) for i in first))
+    for subset in _commuting_sets(L, d - 1, support, 2):
         rest = [i for i in range(L.dim) if i not in subset]
         for i, j in itertools.combinations(rest, 2):
-            if not support <= set(subset) | {i, j}:
+            if not support <= {*subset, i, j}:
                 continue
-            for q in combo_coeffs:
+            for q in _COMBO_COEFFS:
                 extra = [ZERO] * L.dim
-                extra[i] = Fraction(1)
-                extra[j] = q
-                candidate = Subspace.span(
-                    L.dim, [L.basis_vector(s) for s in subset] + [tuple(extra)]
-                )
-                if confirmed(candidate):
+                extra[i], extra[j] = Fraction(1), q
+                candidate = Subspace.span(L.dim, [L.basis_vector(s) for s in subset] + [tuple(extra)])
+                if candidate.contains_subspace(must_contain) and is_abelian(L, candidate):
                     return candidate
     return None
 
@@ -374,9 +374,9 @@ def search_cp(
 def max_abelian_coordinate_ideal(L: LieAlgebra) -> tuple[int, Subspace]:
     """Largest coordinate-span abelian ideal; a lower bound for the true maximum."""
     for size in range(L.dim, 0, -1):
-        for subset in itertools.combinations(range(L.dim), size):
-            candidate = Subspace.span(L.dim, [L.basis_vector(i) for i in subset])
-            if is_abelian(L, candidate) and is_ideal(L, candidate):
+        for subset in _commuting_sets(L, size):
+            candidate = Subspace(L.dim, tuple(L.basis_vector(i) for i in subset))
+            if is_ideal(L, candidate):
                 return size, candidate
     return 0, Subspace.zero(L.dim)
 
@@ -438,22 +438,25 @@ class QuotientCPReport:
     index_parent: int
     index_quotient: int
     drop_ok: bool
-    projected_p: Subspace
-    cp_in_quotient: CPReport
+    projected_p: Subspace | None
+    cp_in_quotient: CPReport | None
     ok: bool
 
 
 def quotient_cp_check(
     L: LieAlgebra,
-    p: Subspace,
+    p: Subspace | None,
     a: Subspace,
     f: Functional,
     policy: RankPolicy = DEFAULT_POLICY,
 ) -> QuotientCPReport:
-    """CP descends to L/A when A is an ideal inside P killed by a regular f."""
+    """CP descends to L/A when A is an ideal inside P killed by a regular f.
+
+    With p None only the index drop i(L/A) = i(L) - dim A is checked.
+    """
     if not is_ideal(L, a):
         raise NotAnIdeal("A must be an ideal of L")
-    if not p.contains_subspace(a):
+    if p is not None and not p.contains_subspace(a):
         raise NotContained("A must be contained in P")
     if any(f(row) != 0 for row in a.basis):
         raise FunctionalNotVanishing("f must vanish on A")
@@ -461,10 +464,10 @@ def quotient_cp_check(
     if stabilizer(L, f).dim != idx.index:
         raise NotRegular("f must be regular")
     q, qmap = quotient(L, a)
-    projected = qmap.project_subspace(p)
     q_idx = index(q, policy)
-    cp_rep = is_cp(q, projected, policy)
     drop_ok = q_idx.index == idx.index - a.dim
+    projected = None if p is None else qmap.project_subspace(p)
+    cp_rep = None if p is None else is_cp(q, projected, policy)
     return QuotientCPReport(
         quotient_dim=q.dim,
         index_parent=idx.index,
@@ -472,7 +475,7 @@ def quotient_cp_check(
         drop_ok=drop_ok,
         projected_p=projected,
         cp_in_quotient=cp_rep,
-        ok=drop_ok and cp_rep.is_cp,
+        ok=drop_ok and (cp_rep is None or cp_rep.is_cp),
     )
 
 

@@ -33,8 +33,6 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ExactDivisionError
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -384,23 +382,6 @@ class LinFormMatrix:
             for i in range(rows)
         )
         return LinFormMatrix(rows, cols, nvars, data)
-
-    def entry_str(self, i: int, j: int, names: Sequence[str] | None = None) -> str:
-        form = self.entries[i][j]
-        if not form:
-            return "0"
-        out = []
-        for k in sorted(form):
-            name = names[k] if names else f"t{k + 1}"
-            c = form[k]
-            if c == 1:
-                out.append(f"+{name}")
-            elif c == -1:
-                out.append(f"-{name}")
-            else:
-                out.append(f"+{format_rat(c)}*{name}")
-        s = "".join(out)
-        return s[1:] if s.startswith("+") else s
 
 
 def evaluate(m: LinFormMatrix, point: VecLike) -> QMatrix:

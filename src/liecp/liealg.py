@@ -65,7 +65,10 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[VecLike]) -> Subspace:
-        red, _ = rref(list(vectors), ambient_dim)
+        rows = list(vectors)
+        if any(len(v) != ambient_dim for v in rows):
+            raise AmbientMismatch("vector length must equal ambient_dim")
+        red, _ = rref(rows, ambient_dim)
         return Subspace(ambient_dim, tuple(tuple(r) for r in red))
 
     @staticmethod
@@ -375,22 +378,6 @@ class QuotientMap:
     def project_subspace(self, s: Subspace) -> Subspace:
         return Subspace.span(len(self.complement), [self.project_vector(row) for row in s.basis])
 
-    def push_functional(self, f: Functional) -> Functional:
-        """Induced functional on the quotient; requires f to vanish on the ideal."""
-        if any(f(row) != 0 for row in self.ideal.basis):
-            raise ValueError("functional does not vanish on the ideal")
-        n = self.ideal.ambient_dim
-        coords = tuple(f(tuple(_unit(n, c))) for c in self.complement)
-        return Functional(len(self.complement), coords)
-
-    def lift_vector(self, v: VecLike) -> Vector:
-        vv = as_vector(v)
-        n = self.ideal.ambient_dim
-        out = _zero_vec(n)
-        for c, x in zip(self.complement, vv):
-            out[c] = x
-        return tuple(out)
-
 
 def quotient(L: LieAlgebra, a: Subspace) -> tuple[LieAlgebra, QuotientMap]:
     """Quotient by an ideal, on the non-pivot coordinates of its echelon basis."""
@@ -428,11 +415,6 @@ def restrict(L: LieAlgebra, s: Subspace, labels: Sequence[str] | None = None) ->
             if table:
                 brackets[(a, b)] = table
     return new_lie_algebra(len(rows), tuple(labels), brackets)
-
-
-def restrict_functional(f: Functional, s: Subspace) -> Functional:
-    """f restricted to a subspace, in the echelon-basis coordinates."""
-    return Functional(s.dim, tuple(f(row) for row in s.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -717,9 +699,17 @@ def _parse_rat(text: str, location: str) -> Fraction:
     return Fraction(text)
 
 
-def _parse_header(obj, kind_field: str) -> tuple[str, int, tuple[str, ...]]:
+def _json_object(text: str) -> dict:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level value must be an object")
+    return obj
+
+
+def _parse_header(obj: dict, kind_field: str) -> tuple[str, int, tuple[str, ...]]:
     name = obj.get("name")
     if not isinstance(name, str):
         raise ParseError("field 'name' must be a string", "name")
@@ -750,16 +740,32 @@ def _parse_terms(terms, idx_of: Mapping[str, int], location: str) -> dict[int, F
     return out
 
 
+def parse_action(text: str) -> tuple[int, list[list[list[Fraction]]]]:
+    """dim_v and the matrices of a module action file: {"dim_v": n, "matrices": [...]},
+    one array of rows of rational strings per basis element of the acting algebra."""
+    spec = _json_object(text)
+    dim_v = spec.get("dim_v")
+    if type(dim_v) is not int:
+        raise ParseError("field 'dim_v' must be an integer", "dim_v")
+    matrices = spec.get("matrices")
+    if not isinstance(matrices, list):
+        raise ParseError("field 'matrices' must be an array", "matrices")
+    for m, mat in enumerate(matrices):
+        if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
+            raise ParseError("a matrix must be an array of rows", f"matrices[{m}]")
+    return dim_v, [
+        [[_parse_rat(x, f"matrices[{m}][{r}][{c}]") for c, x in enumerate(row)] for r, row in enumerate(mat)]
+        for m, mat in enumerate(matrices)
+    ]
+
+
 def _parse_file(text: str, field: str) -> tuple[int, tuple[str, ...], dict, Vector | None]:
     """Header, lhs/rhs/terms entries under `field`, and the optional unit.
 
     The Lie format ("brackets") stores each pair once, earlier label first;
     the product format ("product") lists ordered pairs and may give a unit.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}") from None
+    obj = _json_object(text)
     _, dim, basis = _parse_header(obj, field)
     lie = field == "brackets"
     idx_of = {lb: i for i, lb in enumerate(basis)}

@@ -225,3 +225,41 @@ class TestErrors:
         code, out = run(["index", str(path), "--json"])
         assert code == 2
         assert_error_line(out, "index")
+
+    @pytest.mark.parametrize(
+        "spec, where",
+        [
+            ({"matrices": []}, "at dim_v"),
+            ({"dim_v": 3, "matrices": 3}, "at matrices"),
+            ({"dim_v": 3, "matrices": [None, None, None]}, "at matrices[0]"),
+            ({"dim_v": 3, "matrices": [[["0"] * 3] * 3] * 2 + [[["0", None, "0"]] * 3]}, "at matrices[2][0][1]"),
+            ([{"dim_v": 3, "matrices": []}], "must be an object"),
+            ({"dim_v": 3.7, "matrices": [[["0"] * 3] * 3] * 3}, "at dim_v"),  # was truncated to 3
+            ({"dim_v": 3, "matrices": [[["0"] * 3] * 3] * 2 + [[["0", 0.1, "0"]] * 3]}, "at matrices[2][0][1]"),
+        ],
+    )
+    def test_malformed_action_file(self, tmp_path, h3_file, spec, where):
+        # ParseError naming the place, not KeyError or TypeError with exit 1
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(spec))
+        code, out = run(["semidirect", h3_file, "--action", str(path), "--json"])
+        assert code == 2
+        assert_error_line(out, "semidirect")
+        assert json.loads(out)["error"].endswith(where)
+
+    @pytest.mark.parametrize(
+        "name, ideal, functional, message",
+        [
+            ("diamond", "x", "z", "A must be an ideal of L"),
+            ("dixmier_lister", "e8", "e8", "f must vanish on A"),
+            ("h3", "z", "y", "f must be regular"),
+        ],
+    )
+    def test_quotient_rejections(self, tmp_path, name, ideal, functional, message):
+        # without --span the checks are quotient_cp_check's, with its messages
+        path = tmp_path / f"{name}.alg"
+        path.write_text(data_text(f"{name}.alg"))
+        code, out = run(["quotient", str(path), "--ideal", ideal, "--f", functional, "--json"])
+        assert code == 2
+        assert_error_line(out, "quotient")
+        assert json.loads(out)["error"] == message

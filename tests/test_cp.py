@@ -1,5 +1,6 @@
 """CP verification, witnesses, certificates, search, and lemma checks."""
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liecp import catalog
+from liecp import cp as cp_module
 from liecp.errors import (
     AmbientMismatch,
     ChainGap,
@@ -22,14 +24,26 @@ from liecp.exactla import QMatrix, RankPolicy, kernel
 from liecp.liealg import (
     Functional,
     Subspace,
+    center,
+    is_abelian,
+    is_ideal,
+    is_subalgebra,
     lie_algebra_from_label_table,
     new_lie_algebra,
     parse_span,
 )
 from liecp.index import frobenius_semiradical, index
+from liecp.parabolic import (
+    CompositionA,
+    CompositionC,
+    borel_data_classical,
+    nilradical_A,
+    nilradical_C,
+)
 from liecp.cp import (
     FORM_KIND,
     FSR_KIND,
+    _COMBO_COEFFS,
     _agree_or_certify,
     centralizer_codim1_check,
     codim1_analysis,
@@ -583,3 +597,125 @@ class TestMalformedCertificates:
         L, fsr, form = _valid_certificates(name)
         assert verify_no_cp_certificate(L, fsr, P) and verify_no_cp_certificate(L, form, P)
         assert verify_no_cp_certificate(L, _MALFORMED[shape](fsr, form), P) is False
+
+
+# ---------------------------------------------------------------------------
+# The commuting-graph walk against the plain subset walks it replaces
+# ---------------------------------------------------------------------------
+
+
+def reference_search_cp(L, policy):
+    """Every coordinate span, then every one-combination span, each re-checked by is_cp."""
+    d = (L.dim + index(L, policy).index) // 2
+    must_contain = frobenius_semiradical(L, policy).subspace + center(L)
+    if must_contain.dim > d:
+        return None
+    support = {j for row in must_contain.basis for j, x in enumerate(row) if x != 0}
+
+    def confirmed(c):
+        return (
+            c.dim == d
+            and c.contains_subspace(must_contain)
+            and is_abelian(L, c)
+            and is_subalgebra(L, c)
+            and is_cp(L, c, policy).is_cp
+        )
+
+    for subset in itertools.combinations(range(L.dim), d):
+        if support <= set(subset):
+            candidate = Subspace.span(L.dim, [L.basis_vector(i) for i in subset])
+            if confirmed(candidate):
+                return candidate
+    if d == 0:
+        return None
+    for subset in itertools.combinations(range(L.dim), d - 1):
+        rest = [i for i in range(L.dim) if i not in subset]
+        for i, j in itertools.combinations(rest, 2):
+            if not support <= set(subset) | {i, j}:
+                continue
+            for q in _COMBO_COEFFS:
+                extra = [F(0)] * L.dim
+                extra[i], extra[j] = F(1), q
+                candidate = Subspace.span(L.dim, [L.basis_vector(s) for s in subset] + [tuple(extra)])
+                if confirmed(candidate):
+                    return candidate
+    return None
+
+
+def reference_max_abelian(L):
+    for size in range(L.dim, 0, -1):
+        for subset in itertools.combinations(range(L.dim), size):
+            candidate = Subspace.span(L.dim, [L.basis_vector(i) for i in subset])
+            if is_abelian(L, candidate) and is_ideal(L, candidate):
+                return size, candidate
+    return 0, Subspace.zero(L.dim)
+
+
+def combination_tier():
+    return lie_algebra_from_label_table(
+        ("a", "b", "c", "z"),
+        {("a", "b"): {"c": 1}, ("a", "c"): {"z": 1}, ("b", "c"): {"z": 1}},
+    )
+
+
+_WALK_INPUTS = {
+    **{name: lambda name=name: catalog.get(name) for name in catalog.names()},
+    "A(1,2,2,1)": lambda: nilradical_A(CompositionA((1, 2, 2, 1)))[0],
+    "A(1,1,2,1,1)": lambda: nilradical_A(CompositionA((1, 1, 2, 1, 1)))[0],
+    "C(1,2,2,1)": lambda: nilradical_C(CompositionC((1, 2, 2, 1)))[0],
+    "B3 nilradical": lambda: borel_data_classical("B", 3)[0],
+    "D4 nilradical": lambda: borel_data_classical("D", 4)[0],
+    "combination tier": combination_tier,
+}
+
+
+@st.composite
+def two_step_nilpotent(draw):
+    """Generators g1..gk bracketing into central z1..zm, dim k + m <= 8."""
+    k = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 8 - k))
+    coeffs = st.dictionaries(st.integers(k, k + m - 1), st.integers(-2, 2).filter(bool), max_size=2)
+    table = {(a, b): draw(coeffs) for a in range(k) for b in range(a + 1, k)}
+    labels = [f"g{i}" for i in range(1, k + 1)] + [f"z{i}" for i in range(1, m + 1)]
+    return new_lie_algebra(k + m, labels, table)
+
+
+class TestCommutingWalk:
+    @pytest.mark.parametrize("name", list(_WALK_INPUTS))
+    def test_same_cp_as_reference(self, name):
+        L = _WALK_INPUTS[name]()
+        assert search_cp(L, P) == reference_search_cp(L, P)
+
+    @pytest.mark.parametrize("name", list(_WALK_INPUTS))
+    def test_same_max_abelian_ideal_as_reference(self, name):
+        L = _WALK_INPUTS[name]()
+        assert max_abelian_coordinate_ideal(L) == reference_max_abelian(L)
+
+    @given(two_step_nilpotent())
+    def test_two_step_nilpotent_against_reference(self, L):
+        assert search_cp(L, P) == reference_search_cp(L, P)
+        assert max_abelian_coordinate_ideal(L) == reference_max_abelian(L)
+
+    def test_search_never_calls_is_cp(self, monkeypatch):
+        # an abelian span of dimension (dim L + i_s)/2 is a CP, so no candidate is re-checked
+        def refuse(*args, **kwargs):
+            raise AssertionError("search_cp called is_cp")
+
+        monkeypatch.setattr(cp_module, "is_cp", refuse)
+        for name in ("h5", "j5", "morozov6_4", "abelian", "g6", "free_two_step"):
+            search_cp(catalog.get(name), P)
+        assert search_cp(combination_tier(), P).dim == 3
+
+    def test_free_two_step_6_is_bounded(self, monkeypatch):
+        # every commuting set holds at most one generator: 16 < d = 18, refuted
+        # in a handful of walk nodes; counted in Subspace.span calls, not time
+        span, calls = Subspace.span, []
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 100:
+                raise AssertionError("search_cp builds a subspace per candidate")
+            return span(*args)
+
+        monkeypatch.setattr(Subspace, "span", staticmethod(counted))
+        assert search_cp(catalog.get("free_two_step", n=6), P) is None

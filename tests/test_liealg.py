@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from liecp.errors import (
+    AmbientMismatch,
     DuplicatePair,
     JacobiViolation,
     NoUnit,
@@ -128,6 +129,13 @@ class TestSubspace:
         b = Subspace.span(3, [(0, 1, 0), (0, 0, 1)])
         assert (a + b).dim == 3
         assert a.intersection(b) == Subspace.span(3, [(0, 1, 0)])
+
+    @pytest.mark.parametrize("vector", [(1, 2, 3, 4), (1, 2)])
+    def test_span_rejects_wrong_length(self, vector):
+        with pytest.raises(AmbientMismatch):
+            Subspace.span(3, [vector])
+        with pytest.raises(AmbientMismatch):
+            h3().subspace([(0, 0, 1), vector])
 
     def test_intersection_generic(self):
         a = Subspace.span(4, [(1, 1, 0, 0), (0, 0, 1, 1)])
