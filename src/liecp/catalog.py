@@ -69,6 +69,12 @@ def _resolve(entry: CatalogEntry, params: Mapping[str, object]) -> dict:
     for key, value in merged.items():
         if value is None:
             raise MissingParameter(f"{entry.name} requires parameter {key!r}")
+        # a parameter with an integer default is an integer, never truncated
+        if isinstance(entry.defaults[key], int):
+            value = Fraction(value)
+            if value.denominator != 1:
+                raise ValueError(f"{entry.name} parameter {key!r} must be an integer, got {value}")
+            merged[key] = int(value)
     return merged
 
 
@@ -78,12 +84,10 @@ def _resolve(entry: CatalogEntry, params: Mapping[str, object]) -> dict:
 
 
 def _abelian(n: int) -> LieAlgebra:
-    n = int(n)
     return new_lie_algebra(n, tuple(f"a{i + 1}" for i in range(n)), {})
 
 
 def _heisenberg(m: int) -> LieAlgebra:
-    m = int(m)
     labels = tuple(f"x{i + 1}" for i in range(m)) + tuple(f"y{i + 1}" for i in range(m)) + ("z",)
     table = {(f"x{i + 1}", f"y{i + 1}"): {"z": 1} for i in range(m)}
     return lie_algebra_from_label_table(labels, table)
@@ -98,7 +102,6 @@ def _nonabelian2d() -> LieAlgebra:
 
 
 def _id_ext(n: int) -> LieAlgebra:
-    n = int(n)
     base = new_lie_algebra(n, tuple(f"v{i + 1}" for i in range(n)), {})
     return derivation_extend(base, QMatrix.identity(n), new_label="E")
 
@@ -292,7 +295,6 @@ def _dixmier_lister() -> LieAlgebra:
 
 
 def _free_two_step(n: int) -> LieAlgebra:
-    n = int(n)
     if n < 2 or n % 2:
         raise ValueError("defined here for even n >= 2")
     labels = tuple(f"e{i}" for i in range(1, n + 1)) + tuple(
@@ -352,12 +354,12 @@ def _registry() -> dict[str, CatalogEntry]:
             {"n": 4},
             lambda n: _abelian(n),
             lambda n: Expected(
-                dim=int(n),
-                index=int(n),
-                center_dim=int(n),
+                dim=n,
+                index=n,
+                center_dim=n,
                 square_integrable=True,
-                frobenius=int(n) == 0,
-                cp_witness=tuple(f"a{i + 1}" for i in range(int(n))),
+                frobenius=n == 0,
+                cp_witness=tuple(f"a{i + 1}" for i in range(n)),
             ),
             {"index": "computed"},
         )
@@ -369,12 +371,12 @@ def _registry() -> dict[str, CatalogEntry]:
             {"m": 2},
             lambda m: _heisenberg(m),
             lambda m: Expected(
-                dim=2 * int(m) + 1,
+                dim=2 * m + 1,
                 index=1,
                 center_dim=1,
                 square_integrable=True,
                 frobenius=False,
-                cp_witness=tuple(f"y{i + 1}" for i in range(int(m))) + ("z",),
+                cp_witness=tuple(f"y{i + 1}" for i in range(m)) + ("z",),
             ),
             {"index": "literature"},
         )
@@ -406,12 +408,12 @@ def _registry() -> dict[str, CatalogEntry]:
             {"n": 4},
             lambda n: _id_ext(n),
             lambda n: Expected(
-                dim=int(n) + 1,
-                index=int(n) - 1,
+                dim=n + 1,
+                index=n - 1,
                 center_dim=0,
-                square_integrable=int(n) == 1,
-                frobenius=int(n) == 1,
-                cp_witness=tuple(f"v{i + 1}" for i in range(int(n))),
+                square_integrable=n == 1,
+                frobenius=n == 1,
+                cp_witness=tuple(f"v{i + 1}" for i in range(n)),
             ),
             {"index": "literature", "cp_witness": "literature"},
         )
@@ -543,13 +545,13 @@ def _registry() -> dict[str, CatalogEntry]:
             {"n": 4},
             lambda n: _free_two_step(n),
             lambda n: Expected(
-                dim=int(n) * (int(n) + 1) // 2,
-                index=int(n) * (int(n) - 1) // 2,
-                center_dim=int(n) * (int(n) - 1) // 2,
+                dim=n * (n + 1) // 2,
+                index=n * (n - 1) // 2,
+                center_dim=n * (n - 1) // 2,
                 square_integrable=True,
                 frobenius=False,
-                cp_witness=("e2", "e12") if int(n) == 2 else None,
-                note=None if int(n) == 2 else "no_witness_found",
+                cp_witness=("e2", "e12") if n == 2 else None,
+                note=None if n == 2 else "no_witness_found",
             ),
             {"index": "literature", "note": "literature"},
         )

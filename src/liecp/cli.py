@@ -37,16 +37,7 @@ from .liealg import (
     parse_span,
     parse_vector_expr,
 )
-from .parabolic import (
-    index_formula_A,
-    index_formula_C,
-    CompositionA,
-    CompositionC,
-    nilradical_A,
-    nilradical_C,
-    table1_check,
-    verify_theorem62,
-)
+from .parabolic import FAMILIES, table1_check, verify_theorem62
 
 SCHEMA = "liecp/1"
 
@@ -337,11 +328,10 @@ def _cmd_catalog(args, policy):
         lines = [f"{item['name']:16s} {item['provenance']}" for item in items]
         return 0, {"entries": items}, lines
     params = _parse_params(args.param)
+    if params and not args.name:
+        raise LiecpError("--param needs a catalog entry name")
     names = [args.name] if args.name else list(catalog_mod.names())
-    reports = []
-    for name in names:
-        rep = catalog_mod.verify(name, policy, **(params if args.name else {}))
-        reports.append(rep)
+    reports = [catalog_mod.verify(name, policy, **params) for name in names]
     payload = {
         "reports": [
             {
@@ -383,14 +373,10 @@ def _cmd_parabolic(args, policy):
             f"CP-ideal verified: {rep.ok}"
         ]
         return (0 if rep.ok else 1), payload, lines
-    if args.family == "A":
-        comp = CompositionA(parts)
-        algebra, _ = nilradical_A(comp)
-        formula = index_formula_A(comp)
-    else:
-        comp = CompositionC(parts)
-        algebra, _ = nilradical_C(comp)
-        formula = index_formula_C(comp)
+    family = FAMILIES[args.family]
+    comp = family.composition(parts)
+    algebra, _ = family.nilradical(comp)
+    formula = family.index_formula(comp)
     rep = index(algebra, policy)
     payload = {
         "family": args.family,
@@ -447,10 +433,10 @@ def _cmd_semidirect(args, policy):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    policy = _policy(args)
     base = {"schema": SCHEMA, "command": args.command, "seed": args.seed}
     try:
-        code, payload, lines = args.handler(args, policy)
+        # RankPolicy rejects --samples and --bound values it cannot use
+        code, payload, lines = args.handler(args, _policy(args))
     except (LiecpError, OSError, ValueError) as err:
         base["error"] = str(err)
         if args.json:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AmbientMismatch, SamplingExhausted
 from .exactla import (
@@ -150,19 +149,18 @@ def invariant_symmetric_forms(L: LieAlgebra) -> LinFormMatrix:
     unknowns = n * (n + 1) // 2
     rows = []
     for i in range(n):
+        ad_i = [L.bracket_table(i, j) for j in range(n)]
+        partners = [j for j in range(n) if ad_i[j]]
         for j in range(n):
-            for k in range(j, n):
+            # the (i, j, k) row is zero unless [x_i, x_j] or [x_i, x_k] is nonzero
+            for k in range(j, n) if ad_i[j] else [k for k in partners if k >= j]:
                 row = [ZERO] * unknowns
-                for p, c in L.bracket_table(i, j).items():
+                for p, c in ad_i[j].items():
                     row[_sym_index(n, p, k)] += c
-                for p, c in L.bracket_table(i, k).items():
+                for p, c in ad_i[k].items():
                     row[_sym_index(n, j, p)] += c
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    if rows:
-        basis = kernel(QMatrix.from_rows(rows, unknowns))
-    else:
-        basis = [tuple(ZERO if t != s else Fraction(1) for t in range(unknowns)) for s in range(unknowns)]
+                rows.append(row)
+    basis = kernel(QMatrix.from_rows(rows, unknowns))
     nvars = len(basis)
 
     def entry(p: int, q: int):

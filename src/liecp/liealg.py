@@ -294,7 +294,7 @@ def lie_algebra_from_label_table(
         i, j = idx[lhs], idx[rhs]
         if i >= j:
             raise DuplicatePair(f"bracket ({lhs}, {rhs}) must list the earlier basis label first")
-        brackets[(i, j)] = {idx[t]: Fraction(c) for t, c in terms.items()}
+        brackets[(i, j)] = {idx[t]: c for t, c in terms.items()}
     return new_lie_algebra(len(labels), labels, brackets)
 
 
@@ -391,10 +391,7 @@ def quotient(L: LieAlgebra, a: Subspace) -> tuple[LieAlgebra, QuotientMap]:
     for ai in range(len(complement)):
         for bj in range(ai + 1, len(complement)):
             w = L.bracket(L.basis_vector(complement[ai]), L.basis_vector(complement[bj]))
-            img = qmap.project_vector(w)
-            table = {k: c for k, c in enumerate(img) if c}
-            if table:
-                brackets[(ai, bj)] = table
+            brackets[(ai, bj)] = dict(enumerate(qmap.project_vector(w)))
     return new_lie_algebra(len(complement), labels, brackets), qmap
 
 
@@ -408,12 +405,9 @@ def restrict(L: LieAlgebra, s: Subspace, labels: Sequence[str] | None = None) ->
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            w = L.bracket(rows[a], rows[b])
-            coords = s.coordinates_of(w)
+            coords = s.coordinates_of(L.bracket(rows[a], rows[b]))
             assert coords is not None
-            table = {k: c for k, c in enumerate(coords) if c}
-            if table:
-                brackets[(a, b)] = table
+            brackets[(a, b)] = dict(enumerate(coords))
     return new_lie_algebra(len(rows), tuple(labels), brackets)
 
 
@@ -428,9 +422,7 @@ def direct_product(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:
         labels = tuple(f"{lb}~1" for lb in l1.labels) + tuple(f"{lb}~2" for lb in l2.labels)
     else:
         labels = l1.labels + l2.labels
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), table in l1.sc.items():
-        brackets[(i, j)] = dict(table)
+    brackets = dict(l1.sc)
     off = l1.dim
     for (i, j), table in l2.sc.items():
         brackets[(i + off, j + off)] = {k + off: c for k, c in table.items()}
@@ -477,14 +469,10 @@ def semidirect_product(
     if set(v_labels) & set(g.labels):
         raise ValueError("module labels collide with algebra labels")
     labels = g.labels + v_labels
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), table in g.sc.items():
-        brackets[(i, j)] = dict(table)
+    brackets = dict(g.sc)
     for i in range(g.dim):
         for j in range(dim_v):
-            table = {g.dim + k: mats[i].entries[k][j] for k in range(dim_v) if mats[i].entries[k][j]}
-            if table:
-                brackets[(i, g.dim + j)] = table
+            brackets[(i, g.dim + j)] = {g.dim + k: mats[i].entries[k][j] for k in range(dim_v)}
     return new_lie_algebra(g.dim + dim_v, labels, brackets)
 
 
@@ -505,14 +493,10 @@ def derivation_extend(m: LieAlgebra, d, new_label: str = "d") -> LieAlgebra:
     if new_label in m.labels:
         raise ValueError("new label collides with an existing basis label")
     labels = m.labels + (new_label,)
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), table in m.sc.items():
-        brackets[(i, j)] = dict(table)
+    brackets = dict(m.sc)
     for i in range(m.dim):
-        table = {k: c for k, c in enumerate(images[i]) if c}
-        if table:
-            # stored as [x_i, d] = -d(x_i) to keep i < j ordering
-            brackets[(i, m.dim)] = {k: -c for k, c in table.items()}
+        # stored as [x_i, d] = -d(x_i) to keep i < j ordering
+        brackets[(i, m.dim)] = {k: -c for k, c in enumerate(images[i])}
     return new_lie_algebra(m.dim + 1, labels, brackets)
 
 
@@ -530,12 +514,9 @@ def heisenberg_extend(m: LieAlgebra, z: VecLike, r: int) -> LieAlgebra:
     if (set(s_labels) | set(t_labels)) & set(m.labels):
         raise ValueError("adjoined labels collide with existing basis labels")
     labels = m.labels + s_labels + t_labels
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j), table in m.sc.items():
-        brackets[(i, j)] = dict(table)
-    z_table = {k: c for k, c in enumerate(zv) if c}
+    brackets = dict(m.sc)
     for i in range(r):
-        brackets[(m.dim + i, m.dim + r + i)] = dict(z_table)
+        brackets[(m.dim + i, m.dim + r + i)] = dict(enumerate(zv))
     return new_lie_algebra(m.dim + 2 * r, labels, brackets)
 
 
@@ -628,9 +609,7 @@ def lie_of_associative(a: ProductAlgebra) -> LieAlgebra:
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
             w = _vec_sub(a.product(a.basis_vector(i), a.basis_vector(j)), a.product(a.basis_vector(j), a.basis_vector(i)))
-            table = {k: c for k, c in enumerate(w) if c}
-            if table:
-                brackets[(i, j)] = table
+            brackets[(i, j)] = dict(enumerate(w))
     return new_lie_algebra(a.dim, a.labels, brackets)
 
 
@@ -662,26 +641,18 @@ def tensor_commutative(a: ProductAlgebra, m: LieAlgebra) -> LieAlgebra:
     labels = tuple(f"{a.labels[i]}*{m.labels[j]}" for i in range(a.dim) for j in range(m.dim))
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(a.dim):
-        for k in range(a.dim):
+        for k in range(i, a.dim):
             prod = a.product_table(i, k)
-            if i > k:
-                continue
             for j in range(m.dim):
                 for l in range(m.dim):
                     u, v = flat(i, j), flat(k, l)
                     if u >= v:
                         continue
-                    table: dict[int, Fraction] = {}
+                    table = brackets[(u, v)] = {}
                     for p, pc in prod.items():
                         for q, qc in m.bracket_table(j, l).items():
                             t = flat(p, q)
-                            val = table.get(t, ZERO) + pc * qc
-                            if val:
-                                table[t] = val
-                            else:
-                                table.pop(t, None)
-                    if table:
-                        brackets[(u, v)] = table
+                            table[t] = table.get(t, ZERO) + pc * qc
     return new_lie_algebra(dim, labels, brackets)
 
 

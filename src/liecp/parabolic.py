@@ -21,13 +21,28 @@ When the type-A cut lands above n/2 the same ideal works but the
 functional must be supported on the first n - p anti-diagonal positions;
 this is the image of the standard construction under the anti-transpose
 isomorphism with the reversed composition.
+
+Structure constants.  Every algebra here is the span of a list of sparse
+matrices, and `_algebra_from_matrices` reads its structure constants off
+the matrix commutators.  A basis matrix is keyed by its first position,
+the smallest (row, column) with a nonzero entry.  These are distinct for
+every basis built here: E_ij, Xm and Xp, the so_n basis, and both Cartan
+forms E_aa - E_{a+1,a+1} and E_aa - E_{n+1-a,n+1-a}.  A commutator is then
+expanded by an exact triangular solve over its own nonzero positions: its
+first remaining position names the basis matrix to subtract next, and a
+first position that names none means the commutator left the span.
+
+Families.  `FAMILIES` maps "A" and "C" to their composition type, basis,
+nilradical, index formula, distinguished CP ideal and functional.  The
+Theorem 6.2 check, the Table 1 CP check, the type-A and type-C Borels and
+the CLI all dispatch through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InvalidComposition, UnsupportedType
 from .exactla import DEFAULT_POLICY, ONE, ZERO, QMatrix, RankPolicy, kernel
@@ -37,9 +52,10 @@ from .liealg import (
     Functional,
     LieAlgebra,
     Subspace,
+    centralizer,
     is_abelian,
-    is_ideal,
     new_lie_algebra,
+    restrict,
 )
 
 SparseMat = dict[tuple[int, int], Fraction]
@@ -132,23 +148,20 @@ class CompositionC:
 # ---------------------------------------------------------------------------
 
 
-def _e(a: int, b: int, c: Fraction = ONE) -> SparseMat:
-    return {(a, b): c}
+def _e(a: int, b: int) -> SparseMat:
+    return {(a, b): ONE}
 
 
-def _mat_add(m1: SparseMat, m2: SparseMat) -> SparseMat:
+def _mat_add(m1: SparseMat, m2: SparseMat, c: Fraction = ONE) -> SparseMat:
+    """m1 + c * m2."""
     out = dict(m1)
     for pos, v in m2.items():
-        w = out.get(pos, ZERO) + v
+        w = out.get(pos, ZERO) + c * v
         if w:
             out[pos] = w
         else:
             out.pop(pos, None)
     return out
-
-
-def _mat_scale(m: SparseMat, c: Fraction) -> SparseMat:
-    return {pos: c * v for pos, v in m.items()} if c else {}
 
 
 def _mat_commutator(m1: SparseMat, m2: SparseMat) -> SparseMat:
@@ -170,29 +183,30 @@ def _mat_commutator(m1: SparseMat, m2: SparseMat) -> SparseMat:
     return out
 
 
-def _algebra_from_matrices(
-    labels: Sequence[str], mats: Sequence[SparseMat], leads: Sequence[tuple[int, int]]
-) -> LieAlgebra:
-    """Structure constants read off commutators at each basis vector's lead
-    position, with an exact reconstruction check."""
-    dim = len(mats)
+def _algebra_from_matrices(labels: Sequence[str], mats: Sequence[SparseMat]) -> LieAlgebra:
+    """Structure constants of the span of matrices with distinct first positions.
+
+    Each commutator is expanded exactly: the basis matrix keyed by its first
+    remaining position is subtracted until nothing remains."""
+    basis_at: dict[tuple[int, int], int] = {}
+    for k, m in enumerate(mats):
+        pos = min(m)
+        if pos in basis_at:
+            raise ArithmeticError(f"{labels[basis_at[pos]]} and {labels[k]} share their first position {pos}")
+        basis_at[pos] = k
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            c = _mat_commutator(mats[i], mats[j])
-            table: dict[int, Fraction] = {}
-            for k, lead in enumerate(leads):
-                v = c.get(lead, ZERO)
-                if v:
-                    table[k] = v / mats[k][lead]
-            recon: SparseMat = {}
-            for k, v in table.items():
-                recon = _mat_add(recon, _mat_scale(mats[k], v))
-            if recon != c:
-                raise ArithmeticError("commutator escapes the spanned set of matrices")
-            if table:
-                brackets[(i, j)] = table
-    return new_lie_algebra(dim, tuple(labels), brackets)
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            rest = _mat_commutator(mats[i], mats[j])
+            table = brackets[(i, j)] = {}
+            while rest:
+                pos = min(rest)
+                if pos not in basis_at:
+                    raise ArithmeticError("commutator escapes the span of the basis matrices")
+                k = basis_at[pos]
+                table[k] = rest[pos] / mats[k][pos]
+                rest = _mat_add(rest, mats[k], -table[k])
+    return new_lie_algebra(len(mats), tuple(labels), brackets)
 
 
 def _pos_label(prefix: str, i: int, j: int, wide: bool) -> str:
@@ -214,17 +228,17 @@ def _positions_A(comp: CompositionA) -> list[tuple[int, int]]:
     ]
 
 
+def _basis_A(comp: CompositionA) -> tuple[list[str], list[SparseMat]]:
+    positions = _positions_A(comp)
+    return [_pos_label("E", i, j, comp.n > 9) for i, j in positions], [_e(i, j) for i, j in positions]
+
+
 def nilradical_A(comp: CompositionA) -> tuple[LieAlgebra, tuple[tuple[int, int], ...]]:
     """Strictly block-upper matrices; returns the algebra and its (i, j) basis order."""
     n = comp.n
     positions = _positions_A(comp)
-    expected_dim = (n * n - sum(p * p for p in comp.parts)) // 2
-    assert len(positions) == expected_dim
-    wide = n > 9
-    labels = [_pos_label("E", i, j, wide) for i, j in positions]
-    mats = [_e(i, j) for i, j in positions]
-    algebra = _algebra_from_matrices(labels, mats, positions)
-    return algebra, tuple(positions)
+    assert len(positions) == (n * n - sum(p * p for p in comp.parts)) // 2
+    return _algebra_from_matrices(*_basis_A(comp)), tuple(positions)
 
 
 def index_formula_A(comp: CompositionA) -> int:
@@ -284,22 +298,21 @@ def _roots_C(comp: CompositionC) -> list[RootC]:
     return out
 
 
-def _root_matrix_C(root: RootC, r: int) -> tuple[SparseMat, tuple[int, int]]:
-    """Matrix and lead position; coordinates p_1..p_r, p_-r..p_-1 are 1..2r."""
+def _root_matrix_C(root: RootC, r: int) -> SparseMat:
+    """Coordinates p_1..p_r, p_-r..p_-1 are 1..2r."""
     n = 2 * r
     kind, i, j = root
     if kind == "m":
-        mat = _mat_add(_e(i, j), _mat_scale(_e(n + 1 - j, n + 1 - i), Fraction(-1)))
-        return mat, (i, j)
+        return _mat_add(_e(i, j), _e(n + 1 - j, n + 1 - i), -ONE)
     if i == j:
-        return _e(i, n + 1 - i), (i, n + 1 - i)
-    mat = _mat_add(_e(i, n + 1 - j), _e(j, n + 1 - i))
-    return mat, (i, n + 1 - j)
+        return _e(i, n + 1 - i)
+    return _mat_add(_e(i, n + 1 - j), _e(j, n + 1 - i))
 
 
-def _root_label_C(root: RootC, wide: bool) -> str:
-    kind, i, j = root
-    return _pos_label("Xm" if kind == "m" else "Xp", i, j, wide)
+def _basis_C(comp: CompositionC) -> tuple[list[str], list[SparseMat]]:
+    roots = _roots_C(comp)
+    labels = [_pos_label("Xm" if kind == "m" else "Xp", i, j, comp.r > 9) for kind, i, j in roots]
+    return labels, [_root_matrix_C(root, comp.r) for root in roots]
 
 
 def nilradical_C(comp: CompositionC) -> tuple[LieAlgebra, tuple[RootC, ...]]:
@@ -307,18 +320,8 @@ def nilradical_C(comp: CompositionC) -> tuple[LieAlgebra, tuple[RootC, ...]]:
     r, r1, ell = comp.r, comp.r1, comp.ell
     numerator = 2 * (r * r - r1 * r1) - sum(p * p for p in comp.parts[:ell]) + (r - r1)
     assert numerator % 2 == 0
-    expected_dim = numerator // 2
-    assert len(roots) == expected_dim, (len(roots), expected_dim)
-    wide = r > 9
-    labels = [_root_label_C(root, wide) for root in roots]
-    mats = []
-    leads = []
-    for root in roots:
-        mat, lead = _root_matrix_C(root, r)
-        mats.append(mat)
-        leads.append(lead)
-    algebra = _algebra_from_matrices(labels, mats, leads)
-    return algebra, tuple(roots)
+    assert len(roots) == numerator // 2, (len(roots), numerator // 2)
+    return _algebra_from_matrices(*_basis_C(comp)), tuple(roots)
 
 
 def index_formula_C(comp: CompositionC) -> int:
@@ -348,6 +351,26 @@ def regular_f_C(comp: CompositionC) -> Functional:
     return Functional(len(roots), tuple(coords))
 
 
+@dataclass(frozen=True)
+class Family:
+    """The Theorem 6.2 data of one type, each a function of a composition."""
+
+    composition: Callable
+    basis: Callable
+    nilradical: Callable
+    index_formula: Callable
+    cp_ideal: Callable
+    regular_f: Callable
+
+
+# the nilradicals are looked up when called, so that a wrapper bound to the
+# module attribute (as the perfbench tracer does) sees every construction
+FAMILIES = {
+    "A": Family(CompositionA, _basis_A, lambda c: nilradical_A(c), index_formula_A, cp_ideal_A, regular_f_A),
+    "C": Family(CompositionC, _basis_C, lambda c: nilradical_C(c), index_formula_C, cp_ideal_C, regular_f_C),
+}
+
+
 # ---------------------------------------------------------------------------
 # Verification
 # ---------------------------------------------------------------------------
@@ -372,20 +395,12 @@ def verify_theorem62(
 ) -> Theorem62Report:
     """Build N, P, f for a composition and check every claimed property."""
     family = family.upper()
-    if family == "A":
-        comp = CompositionA(tuple(parts))
-        algebra, _ = nilradical_A(comp)
-        p = cp_ideal_A(comp)
-        f = regular_f_A(comp)
-        formula = index_formula_A(comp)
-    elif family == "C":
-        comp = CompositionC(tuple(parts))
-        algebra, _ = nilradical_C(comp)
-        p = cp_ideal_C(comp)
-        f = regular_f_C(comp)
-        formula = index_formula_C(comp)
-    else:
+    if family not in FAMILIES:
         raise UnsupportedType("only types A and C carry the construction")
+    fam = FAMILIES[family]
+    comp = fam.composition(tuple(parts))
+    algebra, _ = fam.nilradical(comp)
+    p, f, formula = fam.cp_ideal(comp), fam.regular_f(comp), fam.index_formula(comp)
     rep = index(algebra, policy)
     cp_rep = is_cp(algebra, p, policy)
     perp_equal = perp_of(algebra, p, f) == p
@@ -416,86 +431,55 @@ def verify_theorem62(
 # ---------------------------------------------------------------------------
 
 _RANK_CAPS = {"A": 7, "B": 5, "C": 5, "D": 5}
+_RANK_MINS = {"A": 1, "B": 2, "C": 2, "D": 4}
 
 
-def _so_basis(n: int) -> tuple[list[str], list[SparseMat], list[tuple[int, int]]]:
+def _matrix_size(family: str, rank: int) -> int:
+    return {"A": rank + 1, "B": 2 * rank + 1}.get(family, 2 * rank)
+
+
+def _so_basis(n: int) -> tuple[list[str], list[SparseMat]]:
     """Strictly upper part of so_n with the anti-diagonal symmetric form."""
     r = n // 2
-    labels, mats, leads = [], [], []
+    labels, mats = [], []
     for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if a + b >= n + 1:
-                continue
-            mat = _mat_add(_e(a, b), _mat_scale(_e(n + 1 - b, n + 1 - a), Fraction(-1)))
+        for b in range(a + 1, n + 1 - a):
             if b <= r:
-                label = _pos_label("Xm", a, b, r > 9)
+                labels.append(_pos_label("Xm", a, b, r > 9))
             elif n % 2 and b == r + 1:
-                label = f"Xe{a}"
+                labels.append(f"Xe{a}")
             else:
-                label = _pos_label("Xp", a, n + 1 - b, r > 9)
-            labels.append(label)
-            mats.append(mat)
-            leads.append((a, b))
-    return labels, mats, leads
+                labels.append(_pos_label("Xp", a, n + 1 - b, r > 9))
+            mats.append(_mat_add(_e(a, b), _e(n + 1 - b, n + 1 - a), -ONE))
+    return labels, mats
 
 
-def _cartan_anti(n: int, r: int) -> tuple[list[str], list[SparseMat], list[tuple[int, int]]]:
-    labels = [f"H{a}" for a in range(1, r + 1)]
-    mats = [
-        _mat_add(_e(a, a), _mat_scale(_e(n + 1 - a, n + 1 - a), Fraction(-1)))
-        for a in range(1, r + 1)
-    ]
-    leads = [(a, a) for a in range(1, r + 1)]
-    return labels, mats, leads
+def _cartan(pairs: Sequence[tuple[int, int]]) -> tuple[list[str], list[SparseMat]]:
+    """H_1, H_2, ... = E_aa - E_bb over the given (a, b)."""
+    return [f"H{h}" for h in range(1, len(pairs) + 1)], [_mat_add(_e(a, a), _e(b, b), -ONE) for a, b in pairs]
 
 
 def borel_data_classical(family: str, rank: int) -> tuple[LieAlgebra, LieAlgebra]:
     """Nilradical N and Borel B = N + Cartan for the classical families.
 
     Realizations use anti-diagonal bilinear/symplectic forms so that N is
-    literally strictly upper triangular; type A matches nilradical_A on the
-    all-ones composition label for label.
+    literally strictly upper triangular; types A and C use the nilradical
+    bases of the all-ones composition, label for label.
     """
     family = family.upper()
     if family not in _RANK_CAPS:
         raise UnsupportedType(f"unknown family {family!r}")
     if rank < 1 or rank > _RANK_CAPS[family]:
         raise UnsupportedType(f"family {family} supported for rank 1..{_RANK_CAPS[family]}")
-    if family == "A":
-        n = rank + 1
-        positions = _positions_A(CompositionA((1,) * n))
-        wide = n > 9
-        n_labels = [_pos_label("E", i, j, wide) for i, j in positions]
-        n_mats = [_e(i, j) for i, j in positions]
-        n_leads = positions
-        c_labels = [f"H{a}" for a in range(1, n)]
-        c_mats = [_mat_add(_e(a, a), _mat_scale(_e(a + 1, a + 1), Fraction(-1))) for a in range(1, n)]
-        c_leads = [(a, a) for a in range(1, n)]
-    elif family == "C":
-        if rank < 2:
-            raise UnsupportedType("type C needs rank >= 2")
-        comp = CompositionC((1,) * (2 * rank))
-        roots = _roots_C(comp)
-        n_labels = [_root_label_C(root, rank > 9) for root in roots]
-        n_mats, n_leads = [], []
-        for root in roots:
-            mat, lead = _root_matrix_C(root, rank)
-            n_mats.append(mat)
-            n_leads.append(lead)
-        c_labels, c_mats, c_leads = _cartan_anti(2 * rank, rank)
+    if rank < _RANK_MINS[family]:
+        raise UnsupportedType(f"type {family} needs rank >= {_RANK_MINS[family]}")
+    n = _matrix_size(family, rank)
+    if family in FAMILIES:
+        labels, mats = FAMILIES[family].basis(FAMILIES[family].composition((1,) * n))
     else:
-        if family == "B" and rank < 2:
-            raise UnsupportedType("type B needs rank >= 2")
-        if family == "D" and rank < 4:
-            raise UnsupportedType("type D needs rank >= 4")
-        n = 2 * rank + 1 if family == "B" else 2 * rank
-        n_labels, n_mats, n_leads = _so_basis(n)
-        c_labels, c_mats, c_leads = _cartan_anti(n, rank)
-    nilradical = _algebra_from_matrices(n_labels, n_mats, n_leads)
-    borel = _algebra_from_matrices(
-        n_labels + c_labels, n_mats + c_mats, list(n_leads) + list(c_leads)
-    )
-    return nilradical, borel
+        labels, mats = _so_basis(n)
+    h_labels, h_mats = _cartan([(a, a + 1 if family == "A" else n + 1 - a) for a in range(1, rank + 1)])
+    return _algebra_from_matrices(labels, mats), _algebra_from_matrices(labels + h_labels, mats + h_mats)
 
 
 @dataclass(frozen=True)
@@ -573,33 +557,21 @@ def table1_check(family: str, rank: int, policy: RankPolicy = DEFAULT_POLICY) ->
     nilradical, borel = borel_data_classical(family, rank)
     i_n = index(nilradical, policy)
     i_b = index(borel, policy)
-    cp_rep = None
-    half_exceeds = None
-    if family == "A":
-        comp = CompositionA((1,) * (rank + 1))
-        cp_rep = is_cp(nilradical, cp_ideal_A(comp), policy)
-    elif family == "C":
-        comp = CompositionC((1,) * (2 * rank))
-        cp_rep = is_cp(nilradical, cp_ideal_C(comp), policy)
-    else:
-        half_exceeds = row.half > row.max_abelian
-    cp_expected = family in ("A", "C")
     ok = (
         nilradical.dim == row.dim_n
         and i_n.index == row.index_n
         and i_b.index == row.index_b
         and i_n.index + i_b.index == rank
     )
+    cp_rep = half_exceeds = None
+    cp_expected = family in FAMILIES
     if cp_expected:
-        ok = (
-            ok
-            and cp_rep is not None
-            and cp_rep.is_cp
-            and cp_rep.is_ideal
-            and cp_rep.dim_p == row.half == row.max_abelian
-        )
+        fam = FAMILIES[family]
+        cp_rep = is_cp(nilradical, fam.cp_ideal(fam.composition((1,) * _matrix_size(family, rank))), policy)
+        ok = ok and cp_rep.is_cp and cp_rep.is_ideal and cp_rep.dim_p == row.half == row.max_abelian
     else:
-        ok = ok and bool(half_exceeds)
+        half_exceeds = row.half > row.max_abelian
+        ok = ok and half_exceeds
     return Table1Report(
         family=family,
         rank=rank,
@@ -618,37 +590,6 @@ def table1_check(family: str, rank: int, policy: RankPolicy = DEFAULT_POLICY) ->
 # ---------------------------------------------------------------------------
 # Normalizer of a principal nilpotent centralizer in sl_n
 # ---------------------------------------------------------------------------
-
-
-def _sl_basis(n: int) -> tuple[list[SparseMat], list[str]]:
-    mats: list[SparseMat] = []
-    labels: list[str] = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                mats.append(_e(i, j))
-                labels.append(_pos_label("E", i, j, n > 9))
-    for a in range(1, n):
-        mats.append(_mat_add(_e(a, a), _mat_scale(_e(a + 1, a + 1), Fraction(-1))))
-        labels.append(f"H{a}")
-    return mats, labels
-
-
-def _sl_coords(mat: SparseMat, n: int) -> tuple[Fraction, ...]:
-    """Coordinates of a traceless matrix over the off-diagonal + H basis."""
-    off = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                off.append(mat.get((i, j), ZERO))
-    diag = [mat.get((a, a), ZERO) for a in range(1, n + 1)]
-    assert sum(diag) == 0, "matrix must be traceless"
-    partial = []
-    run = ZERO
-    for a in range(n - 1):
-        run += diag[a]
-        partial.append(run)
-    return tuple(off + partial)
 
 
 @dataclass(frozen=True)
@@ -670,48 +611,24 @@ def principal_nilpotent_normalizer(
     as a commutative polarization ideal."""
     if not 2 <= n <= 6:
         raise UnsupportedType("supported for 2 <= n <= 6")
-    mats, _ = _sl_basis(n)
-    dim = len(mats)
-    x: SparseMat = {}
-    for i in range(1, n):
-        x = _mat_add(x, _e(i, i + 1))
-    ad_cols = [_sl_coords(_mat_commutator(x, m), n) for m in mats]
-    ad_x = QMatrix(dim, dim, tuple(tuple(col[k] for col in ad_cols) for k in range(dim)))
-    cx = Subspace(dim, tuple(kernel(ad_x)))
-
-    def as_matrix(vec: Sequence[Fraction]) -> SparseMat:
-        out: SparseMat = {}
-        for coeff, m in zip(vec, mats):
-            if coeff:
-                out = _mat_add(out, _mat_scale(m, coeff))
-        return out
-
-    cx_mats = [as_matrix(row) for row in cx.basis]
+    off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    h_labels, h_mats = _cartan([(a, a + 1) for a in range(1, n)])
+    sl = _algebra_from_matrices(
+        [_pos_label("E", i, j, n > 9) for i, j in off] + h_labels, [_e(i, j) for i, j in off] + h_mats
+    )
+    x = [ONE if j == i + 1 else ZERO for i, j in off] + [ZERO] * (n - 1)
+    cx = centralizer(sl, x)
     rows = []
-    for cmat in cx_mats:
-        cols = [cx.residual(_sl_coords(_mat_commutator(m, cmat), n)) for m in mats]
-        for k in range(dim):
-            row = [cols[a][k] for a in range(dim)]
-            if any(v != 0 for v in row):
-                rows.append(row)
-    normalizer = Subspace(dim, tuple(kernel(QMatrix.from_rows(rows, dim))))
-
-    f_mats = [as_matrix(row) for row in normalizer.basis]
-    f_dim = normalizer.dim
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(f_dim):
-        for b in range(a + 1, f_dim):
-            w = _sl_coords(_mat_commutator(f_mats[a], f_mats[b]), n)
-            coords = normalizer.coordinates_of(w)
-            assert coords is not None, "normalizer must be a subalgebra"
-            table = {k: c for k, c in enumerate(coords) if c}
-            if table:
-                brackets[(a, b)] = table
-    f_alg = new_lie_algebra(f_dim, tuple(f"y{k + 1}" for k in range(f_dim)), brackets)
+    for c in cx.basis:
+        # y normalizes cx iff [y, c] has no component off cx for every c
+        cols = [cx.residual(sl.bracket(sl.basis_vector(a), c)) for a in range(sl.dim)]
+        rows += [[col[k] for col in cols] for k in range(sl.dim)]
+    normalizer = Subspace(sl.dim, tuple(kernel(QMatrix.from_rows(rows, sl.dim))))
+    f_alg = restrict(sl, normalizer, labels=[f"y{k + 1}" for k in range(normalizer.dim)])
 
     cx_coords = [normalizer.coordinates_of(row) for row in cx.basis]
     assert all(c is not None for c in cx_coords), "centralizer must sit inside its normalizer"
-    cx_in_f = Subspace.span(f_dim, cx_coords)
+    cx_in_f = Subspace.span(f_alg.dim, cx_coords)
     abelian = is_abelian(f_alg, cx_in_f)
     idx = index(f_alg, policy)
     cp_rep = is_cp(f_alg, cx_in_f, policy)

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +65,23 @@ class TestRegistry:
             catalog.get("seeley_12457n", xi=0)
         with pytest.raises(ValueError):
             catalog.get("free_two_step", n=3)
+
+    @pytest.mark.parametrize(
+        "name, key, value", [("abelian", "n", F(7, 2)), ("heisenberg", "m", F(3, 2)),
+                             ("id_ext", "n", F(5, 3)), ("free_two_step", "n", F(5, 2))]
+    )
+    def test_integer_parameter_not_truncated(self, name, key, value):
+        # int() used to turn 5/2 into 2 and build the wrong algebra silently
+        with pytest.raises(ValueError, match="must be an integer"):
+            catalog.get(name, **{key: value})
+        with pytest.raises(ValueError, match="must be an integer"):
+            catalog.expected(name, **{key: value})
+        with pytest.raises(ValueError, match="must be an integer"):
+            catalog.verify(name, P, **{key: value})
+
+    def test_integral_fraction_parameter_accepted(self):
+        assert catalog.get("heisenberg", m=F(6, 2)) == catalog.get("heisenberg", m=3)
+        assert catalog.verify("abelian", P, n=F(3)).params == {"n": 3}
 
 
 class TestVerify:
@@ -134,6 +152,16 @@ class TestDataFiles:
             assert record["expected"]["index"] == want.index
             assert record["expected"]["center_dim"] == want.center_dim
             assert record["provenance"] == catalog.entry(name).provenance
+
+    def test_shipped_files_are_regenerated_byte_for_byte(self, tmp_path):
+        # perfbench reads cp_witness and no_cp_kinds from expectations.json,
+        # so every byte of the shipped files must match the registry
+        catalog.write_data_files(tmp_path)
+        shipped = Path(catalog.__file__).parent / "data"
+        names = sorted(p.name for p in shipped.iterdir() if p.is_file())
+        assert names == sorted(p.name for p in tmp_path.iterdir())
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
 
     def test_tags_present(self):
         data = json.loads(catalog.data_text("expectations.json"))

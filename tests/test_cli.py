@@ -263,3 +263,25 @@ class TestErrors:
         assert code == 2
         assert_error_line(out, "quotient")
         assert json.loads(out)["error"] == message
+
+    @pytest.mark.parametrize("flags", [["--samples", "0"], ["--bound", "1"]])
+    def test_invalid_policy_option(self, h3_file, flags):
+        # RankPolicy's ValueError is an error (exit 2), not a verified negative
+        code, out = run(["index", h3_file, "--json"] + flags)
+        assert code == 2
+        assert_error_line(out, "index")
+        assert "must be >=" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("name, param", [("free_two_step", "n=5/2"), ("heisenberg", "m=3/2")])
+    def test_non_integral_catalog_parameter(self, name, param):
+        # was truncated to n = 2 (m = 1) and reported ok under the unrounded value
+        code, out = run(["catalog", "verify", name, "--param", param, "--json"])
+        assert code == 2
+        assert_error_line(out, "catalog")
+        assert "must be an integer" in json.loads(out)["error"]
+
+    def test_param_without_entry_name(self):
+        # was dropped silently while every entry was verified
+        code, out = run(["catalog", "verify", "--param", "n=3", "--json"])
+        assert code == 2
+        assert_error_line(out, "catalog")

@@ -33,7 +33,8 @@ from liecp.index import (
     sample_regular,
     stabilizer,
 )
-from liecp.parabolic import verify_theorem62
+from liecp import catalog
+from liecp.parabolic import borel_data_classical, verify_theorem62
 
 F = Fraction
 P = RankPolicy()
@@ -299,6 +300,52 @@ class TestInvariantForms:
         sol = solve_linear_system(QMatrix.from_rows(rows, fam.nvars), rhs)
         assert sol is not None
         assert evaluate(fam, sol) == QMatrix.from_rows(target)
+
+
+def _dense_invariant_forms(L):
+    """Reference: one dense row per (i, j <= k), zero rows dropped, and the
+    identity when no row is left."""
+    from liecp.exactla import LinFormMatrix, QMatrix, kernel
+
+    n = L.dim
+    unknowns = n * (n + 1) // 2
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(j, n):
+                row = [F(0)] * unknowns
+                for p, c in L.bracket_table(i, j).items():
+                    row[index_module._sym_index(n, p, k)] += c
+                for p, c in L.bracket_table(i, k).items():
+                    row[index_module._sym_index(n, j, p)] += c
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    if rows:
+        basis = kernel(QMatrix.from_rows(rows, unknowns))
+    else:
+        basis = [tuple(F(int(t == s)) for t in range(unknowns)) for s in range(unknowns)]
+
+    def entry(p, q):
+        s = index_module._sym_index(n, p, q)
+        return {m: basis[m][s] for m in range(len(basis)) if basis[m][s]}
+
+    return LinFormMatrix.build(n, n, len(basis), entry)
+
+
+class TestInvariantFormsReference:
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog(self, name):
+        L = catalog.get(name)
+        assert invariant_symmetric_forms(L) == _dense_invariant_forms(L)
+
+    @pytest.mark.parametrize("family, rank", [("B", 3), ("D", 4)])
+    def test_borel_nilradicals(self, family, rank):
+        L = borel_data_classical(family, rank)[0]
+        assert invariant_symmetric_forms(L) == _dense_invariant_forms(L)
+
+    def test_abelian_is_every_symmetric_form(self):
+        fam = invariant_symmetric_forms(catalog.get("abelian"))
+        assert fam.nvars == 10 and fam == _dense_invariant_forms(catalog.get("abelian"))
 
 
 class TestPredicates:

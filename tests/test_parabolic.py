@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from liecp import parabolic
 from liecp.errors import InvalidComposition, UnsupportedType
-from liecp.exactla import RankPolicy
-from liecp.liealg import is_abelian, is_ideal
+from liecp.exactla import QMatrix, RankPolicy, kernel
+from liecp.liealg import Subspace, is_abelian, is_ideal, new_lie_algebra
 from liecp.index import index
 from liecp.cp import is_cp, perp_of
 from liecp.parabolic import (
@@ -21,6 +22,7 @@ from liecp.parabolic import (
     index_formula_C,
     nilradical_A,
     nilradical_C,
+    NormalizerReport,
     principal_nilpotent_normalizer,
     regular_f_A,
     regular_f_C,
@@ -286,3 +288,208 @@ class TestBorelConsistency:
                 assert i_n + i_b == rank
                 assert (nilrad.dim - i_n) % 2 == 0
                 assert (borel.dim - i_b) % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# Reference: the lead-scan builder with hand-built lead lists, which read
+# every commutator at every basis lead and rebuilt it to check the result
+# ---------------------------------------------------------------------------
+
+
+def _ref_e(a, b):
+    return {(a, b): F(1)}
+
+
+def _ref_add(m1, m2, c=F(1)):
+    out = dict(m1)
+    for pos, v in m2.items():
+        out[pos] = out.get(pos, F(0)) + c * v
+        if not out[pos]:
+            del out[pos]
+    return out
+
+
+def _ref_commutator(m1, m2):
+    out = {}
+    for (a1, b1), v1 in m1.items():
+        for (a2, b2), v2 in m2.items():
+            if b1 == a2:
+                out = _ref_add(out, {(a1, b2): v1 * v2})
+            if b2 == a1:
+                out = _ref_add(out, {(a2, b1): -v1 * v2})
+    return out
+
+
+def _ref_algebra(labels, mats, leads):
+    brackets = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            c = _ref_commutator(mats[i], mats[j])
+            table = {k: c[lead] / mats[k][lead] for k, lead in enumerate(leads) if c.get(lead)}
+            recon = {}
+            for k, v in table.items():
+                recon = _ref_add(recon, mats[k], v)
+            if recon != c:
+                raise ArithmeticError("commutator escapes the spanned set of matrices")
+            if table:
+                brackets[(i, j)] = table
+    return new_lie_algebra(len(mats), tuple(labels), brackets)
+
+
+def _ref_label(prefix, i, j, wide):
+    return f"{prefix}{i}_{j}" if wide else f"{prefix}{i}{j}"
+
+
+def _ref_basis_A(comp):
+    positions = parabolic._positions_A(comp)
+    labels = [_ref_label("E", i, j, comp.n > 9) for i, j in positions]
+    return labels, [_ref_e(i, j) for i, j in positions], list(positions)
+
+
+def _ref_basis_C(comp):
+    n = 2 * comp.r
+    labels, mats, leads = [], [], []
+    for kind, i, j in parabolic._roots_C(comp):
+        labels.append(_ref_label("Xm" if kind == "m" else "Xp", i, j, comp.r > 9))
+        if kind == "m":
+            mats.append(_ref_add(_ref_e(i, j), _ref_e(n + 1 - j, n + 1 - i), F(-1)))
+            leads.append((i, j))
+        elif i == j:
+            mats.append(_ref_e(i, n + 1 - i))
+            leads.append((i, n + 1 - i))
+        else:
+            mats.append(_ref_add(_ref_e(i, n + 1 - j), _ref_e(j, n + 1 - i)))
+            leads.append((i, n + 1 - j))
+    return labels, mats, leads
+
+
+def _ref_basis_so(n):
+    r = n // 2
+    labels, mats, leads = [], [], []
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            if a + b >= n + 1:
+                continue
+            if b <= r:
+                labels.append(_ref_label("Xm", a, b, r > 9))
+            elif n % 2 and b == r + 1:
+                labels.append(f"Xe{a}")
+            else:
+                labels.append(_ref_label("Xp", a, n + 1 - b, r > 9))
+            mats.append(_ref_add(_ref_e(a, b), _ref_e(n + 1 - b, n + 1 - a), F(-1)))
+            leads.append((a, b))
+    return labels, mats, leads
+
+
+def _ref_cartan(pairs):
+    labels = [f"H{h}" for h in range(1, len(pairs) + 1)]
+    return labels, [_ref_add(_ref_e(a, a), _ref_e(b, b), F(-1)) for a, b in pairs], [(a, a) for a, _ in pairs]
+
+
+def _ref_borel(family, rank):
+    if family == "A":
+        n = rank + 1
+        nil = _ref_basis_A(CompositionA((1,) * n))
+        cartan = _ref_cartan([(a, a + 1) for a in range(1, n)])
+    else:
+        n = 2 * rank + 1 if family == "B" else 2 * rank
+        nil = _ref_basis_C(CompositionC((1,) * n)) if family == "C" else _ref_basis_so(n)
+        cartan = _ref_cartan([(a, n + 1 - a) for a in range(1, rank + 1)])
+    return _ref_algebra(*nil), _ref_algebra(*(x + y for x, y in zip(nil, cartan)))
+
+
+def _ref_normalizer(n, policy):
+    off = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    mats = [_ref_e(i, j) for i, j in off] + _ref_cartan([(a, a + 1) for a in range(1, n)])[1]
+    dim = len(mats)
+
+    def coords(mat):
+        diag = [mat.get((a, a), F(0)) for a in range(1, n + 1)]
+        return tuple(mat.get(pos, F(0)) for pos in off) + tuple(sum(diag[: a + 1]) for a in range(n - 1))
+
+    def as_matrix(vec):
+        out = {}
+        for coeff, m in zip(vec, mats):
+            out = _ref_add(out, m, coeff)
+        return out
+
+    x = {(i, i + 1): F(1) for i in range(1, n)}
+    ad_cols = [coords(_ref_commutator(x, m)) for m in mats]
+    cx = Subspace(dim, tuple(kernel(QMatrix(dim, dim, tuple(tuple(col[k] for col in ad_cols) for k in range(dim))))))
+    rows = []
+    for cmat in [as_matrix(row) for row in cx.basis]:
+        cols = [cx.residual(coords(_ref_commutator(m, cmat))) for m in mats]
+        rows += [[cols[a][k] for a in range(dim)] for k in range(dim)]
+    normalizer = Subspace(dim, tuple(kernel(QMatrix.from_rows(rows, dim))))
+    f_mats = [as_matrix(row) for row in normalizer.basis]
+    brackets = {}
+    for a in range(normalizer.dim):
+        for b in range(a + 1, normalizer.dim):
+            w = normalizer.coordinates_of(coords(_ref_commutator(f_mats[a], f_mats[b])))
+            brackets[(a, b)] = dict(enumerate(w))
+    f_alg = new_lie_algebra(normalizer.dim, tuple(f"y{k + 1}" for k in range(normalizer.dim)), brackets)
+    cx_in_f = Subspace.span(normalizer.dim, [normalizer.coordinates_of(row) for row in cx.basis])
+    abelian = is_abelian(f_alg, cx_in_f)
+    idx = index(f_alg, policy)
+    cp_rep = is_cp(f_alg, cx_in_f, policy)
+    ok = cx.dim == n - 1 and normalizer.dim == 2 * (n - 1) and abelian and idx.index == 0 and cp_rep.is_cp
+    return NormalizerReport(n, cx.dim, abelian, normalizer.dim, idx.index, cp_rep, ok and cp_rep.is_ideal)
+
+
+def _all_compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _all_compositions(n - first):
+            yield (first,) + rest
+
+
+SWEEP = [("A", c) for n in range(1, 8) for c in _all_compositions(n)]
+SWEEP += [
+    ("C", CompositionC.from_half(half, r - sum(half)).parts)
+    for r in range(1, 5)
+    for s in range(r + 1)
+    for half in _all_compositions(s)
+]
+
+
+class TestFirstPositionBuilder:
+    def test_every_sweep_composition(self):
+        assert len(SWEEP) == 157
+        for family, parts in SWEEP:
+            if family == "A":
+                comp = CompositionA(parts)
+                new, ref = nilradical_A(comp)[0], _ref_algebra(*_ref_basis_A(comp))
+            else:
+                comp = CompositionC(parts)
+                new, ref = nilradical_C(comp)[0], _ref_algebra(*_ref_basis_C(comp))
+            assert new == ref, (family, parts)
+
+    @pytest.mark.parametrize(
+        "family, rank",
+        [("A", r) for r in range(1, 8)] + [(f, r) for f in "BC" for r in range(2, 6)] + [("D", 4), ("D", 5)],
+    )
+    def test_borels(self, family, rank):
+        assert borel_data_classical(family, rank) == _ref_borel(family, rank)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_normalizer(self, n):
+        assert principal_nilpotent_normalizer(n, P) == _ref_normalizer(n, P)
+
+    def test_shared_first_position_raises(self):
+        mats = [{(1, 2): F(1)}, {(1, 2): F(1), (2, 3): F(1)}]
+        with pytest.raises(ArithmeticError, match="first position"):
+            parabolic._algebra_from_matrices(["a", "b"], mats)
+
+    def test_commutator_outside_the_span_raises(self):
+        # E_12 and E_23 without E_13
+        with pytest.raises(ArithmeticError, match="escapes"):
+            parabolic._algebra_from_matrices(["a", "b"], [{(1, 2): F(1)}, {(2, 3): F(1)}])
+
+    def test_sl_n_cartan_needs_the_triangular_solve(self):
+        # [E_13, E_31] = E_11 - E_33 = H1 + H2: the position (3, 3) is H3's
+        # first position, so reading each position once would give H1 - H3
+        labels = ["E13", "E31", "H1", "H2", "H3"]
+        mats = [{(1, 3): F(1)}, {(3, 1): F(1)}] + parabolic._cartan([(1, 2), (2, 3), (3, 4)])[1]
+        gl = parabolic._algebra_from_matrices(labels, mats)
+        assert gl.bracket_table(0, 1) == {2: F(1), 3: F(1)}
