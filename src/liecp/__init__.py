@@ -1,6 +1,6 @@
 """Exact-arithmetic Lie algebra invariants and commutative polarizations."""
 
-from .exactla import QMatrix, LinFormMatrix, Poly, RankPolicy, DEFAULT_POLICY, generic_rank, rank_exact
+from .exactla import QMatrix, LinFormMatrix, RankPolicy, DEFAULT_POLICY, generic_rank, rank_exact
 from .liealg import (
     LieAlgebra,
     Subspace,
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "QMatrix",
     "LinFormMatrix",
-    "Poly",
     "RankPolicy",
     "DEFAULT_POLICY",
     "generic_rank",

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra, sparse polynomials, and generic rank.
+"""Exact rational linear algebra and generic rank.
 
 All arithmetic is exact.  Dense matrices hold `fractions.Fraction` entries,
 and every elimination over Q runs through one fraction-free integer
@@ -18,9 +18,11 @@ computed in two ways that cross-check each other.
   min(rows, cols) / (2B + 1), so with the default B = 10**6 and 5 samples
   failure is negligible at desk scale.
 * Certified: fraction-free (Bareiss) elimination carried out symbolically
-  over sparse polynomial entries.  All divisions are exact by Sylvester's
-  identity.  Enabled by default only for matrices of side <= 12 to bound
-  intermediate-expression swell.
+  over Z[x]: rows are cleared of denominators, and each entry is a sparse
+  polynomial with integer coefficients and monomials packed into one int
+  each.  All divisions are exact by Sylvester's identity.  Enabled by
+  default only for matrices of side <= 12 to bound intermediate-expression
+  swell.
 """
 
 from __future__ import annotations
@@ -219,139 +221,64 @@ def solve_linear_system(m: QMatrix, rhs: VecLike) -> tuple[Fraction, ...] | None
 
 
 # ---------------------------------------------------------------------------
-# Sparse multivariate polynomials
+# Integer polynomials with packed monomials
 # ---------------------------------------------------------------------------
+#
+# A polynomial maps monomials to nonzero integer coefficients.  A monomial
+# is one int holding one field per variable, variable 0 in the most
+# significant field, so int order is lex order and the product of two
+# monomials is their sum.  The top bit of each field is a guard bit: it is
+# clear in every monomial whose exponents fit below it, and a subtraction
+# that borrows across a field boundary clears it.
 
 
-class Poly:
-    """Sparse polynomial over the rationals in a fixed number of variables.
+def _mul_sub(p: dict[int, int], q: dict[int, int], r: dict[int, int], s: dict[int, int]) -> dict[int, int]:
+    """p*q - r*s."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = m1 + m2
+            acc[m] = get(m, 0) + c1 * c2
+    for m1, c1 in r.items():
+        for m2, c2 in s.items():
+            m = m1 + m2
+            acc[m] = get(m, 0) - c1 * c2
+    return {m: c for m, c in acc.items() if c}
 
-    Terms map exponent tuples to nonzero rational coefficients; zero
-    coefficients are never stored.
+
+def _exact_div(num: dict[int, int], den: dict[int, int], guard: int) -> dict[int, int]:
+    """Exact quotient num / den over Z; guard has the guard bit of every field set.
+
+    Repeatedly cancels the leading term.  Raises ExactDivisionError when a
+    leading monomial is not divisible by den's (a field borrows its guard
+    bit) or a leading coefficient leaves a remainder.
     """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        self.nvars = nvars
-        self.terms: dict[tuple[int, ...], Fraction] = {
-            mono: coeff for mono, coeff in (terms or {}).items() if coeff
-        }
-
-    @staticmethod
-    def zero(nvars: int) -> Poly:
-        return Poly(nvars)
-
-    @staticmethod
-    def constant(nvars: int, value: Fraction | int) -> Poly:
-        value = Fraction(value)
-        return Poly(nvars, {(0,) * nvars: value} if value else {})
-
-    @staticmethod
-    def variable(nvars: int, k: int, coeff: Fraction | int = 1) -> Poly:
-        mono = tuple(1 if i == k else 0 for i in range(nvars))
-        return Poly(nvars, {mono: Fraction(coeff)})
-
-    @staticmethod
-    def from_linform(form: Mapping[int, Fraction], nvars: int) -> Poly:
-        terms = {}
-        for k, c in form.items():
-            mono = tuple(1 if i == k else 0 for i in range(nvars))
-            terms[mono] = Fraction(c)
-        return Poly(nvars, terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def nterms(self) -> int:
-        return len(self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __neg__(self) -> Poly:
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __add__(self, other: Poly) -> Poly:
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, ZERO) + c
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead_d = max(den)
+    coeff_d = den[lead_d]
+    tail = [(m, c) for m, c in den.items() if m != lead_d]
+    num = dict(num)
+    out: dict[int, int] = {}
+    while num:
+        lead = max(num)
+        mono = (lead | guard) - lead_d
+        if mono & guard != guard:
+            raise ExactDivisionError("division is not exact")
+        mono ^= guard
+        c, rem = divmod(num.pop(lead), coeff_d)
+        if rem:
+            raise ExactDivisionError("division is not exact")
+        out[mono] = c
+        for m2, c2 in tail:
+            m3 = mono + m2
+            v = num.get(m3, 0) - c * c2
             if v:
-                out[m] = v
+                num[m3] = v
             else:
-                out.pop(m, None)
-        return Poly(self.nvars, out)
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
-
-    def __mul__(self, other: Poly) -> Poly:
-        out: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                v = out.get(m, ZERO) + c1 * c2
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return Poly(self.nvars, out)
-
-    def exact_div(self, other: Poly) -> Poly:
-        """Exact quotient self / other; raises ExactDivisionError on remainder.
-
-        Repeatedly cancels the lex-leading term.  When the division is exact
-        the leading monomial of the running remainder strictly decreases, so
-        the loop terminates with an empty remainder.
-        """
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        num = dict(self.terms)
-        out: dict[tuple[int, ...], Fraction] = {}
-        lead_o = max(other.terms)
-        coeff_o = other.terms[lead_o]
-        while num:
-            lead = max(num)
-            mono = tuple(a - b for a, b in zip(lead, lead_o))
-            if any(e < 0 for e in mono):
-                raise ExactDivisionError("division is not exact")
-            c = num[lead] / coeff_o
-            out[mono] = out.get(mono, ZERO) + c
-            for m2, c2 in other.terms.items():
-                m3 = tuple(a + b for a, b in zip(mono, m2))
-                v = num.get(m3, ZERO) - c * c2
-                if v:
-                    num[m3] = v
-                else:
-                    num.pop(m3, None)
-        return Poly(self.nvars, out)
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValueError("point length must equal nvars")
-        total = ZERO
-        for mono, coeff in self.terms.items():
-            v = coeff
-            for e, x in zip(mono, point):
-                if e:
-                    v *= x**e
-            total += v
-        return total
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, reverse=True):
-            c = self.terms[mono]
-            factors = [f"t{i}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(mono) if e]
-            parts.append("*".join([format_rat(c)] + factors) if factors else format_rat(c))
-        return " + ".join(parts)
+                del num[m3]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +361,33 @@ class RankResult(NamedTuple):
 
 
 def _symbolic_rank(m: LinFormMatrix) -> int:
-    """Fraction-free elimination over polynomial entries.
+    """Fraction-free (Bareiss) elimination over Z[x].
 
-    Pivot selection: fewest-terms nonzero entry first, ties by lowest
-    (row, col), which limits term growth and is deterministic.  Row and
-    column swaps both preserve rank.
+    Each row is scaled by the lcm of its coefficient denominators, which
+    keeps the rank and every entry's term count.  Pivot selection:
+    fewest-terms nonzero entry first, ties by lowest (row, col), which limits
+    term growth and is deterministic.  Row and column swaps both preserve
+    rank.  Every division is exact by Sylvester's identity.
     """
-    a = [[Poly.from_linform(m.entries[i][j], m.nvars) for j in range(m.cols)] for i in range(m.rows)]
     nr, nc = m.rows, m.cols
+    # Entries are homogeneous; a numerator piv*a_ij - rik*a_rj before its
+    # division has degree up to 2 * min(nr, nc), so every field holds that.
+    width = (2 * min(nr, nc)).bit_length() + 1
+    var = [1 << ((m.nvars - 1 - k) * width) for k in range(m.nvars)]
+    guard = sum(var) << (width - 1)
+    a = []
+    for row in m.entries:
+        den = lcm(*(c.denominator for form in row for c in form.values()))
+        a.append([{var[k]: c.numerator * (den // c.denominator) for k, c in form.items()} for form in row])
     rank = 0
-    prev: Poly | None = None
+    prev: dict[int, int] | None = None
     while rank < min(nr, nc):
         best: tuple[int, int, int] | None = None
         for i in range(rank, nr):
+            row = a[i]
             for j in range(rank, nc):
-                if a[i][j]:
-                    key = (a[i][j].nterms, i, j)
+                if row[j]:
+                    key = (len(row[j]), i, j)
                     if best is None or key < best:
                         best = key
         if best is None:
@@ -458,15 +396,17 @@ def _symbolic_rank(m: LinFormMatrix) -> int:
         if pi != rank:
             a[rank], a[pi] = a[pi], a[rank]
         if pj != rank:
-            for row_ in a:
-                row_[rank], row_[pj] = row_[pj], row_[rank]
-        piv = a[rank][rank]
+            for row in a:
+                row[rank], row[pj] = row[pj], row[rank]
+        prow = a[rank]
+        piv = prow[rank]
         for i in range(rank + 1, nr):
-            rik = a[i][rank]
+            row = a[i]
+            rik = row[rank]
             for j in range(rank + 1, nc):
-                num = piv * a[i][j] - rik * a[rank][j]
-                a[i][j] = num.exact_div(prev) if prev is not None else num
-            a[i][rank] = Poly.zero(m.nvars)
+                num = _mul_sub(piv, row[j], rik, prow[j])
+                row[j] = _exact_div(num, prev, guard) if prev is not None and num else num
+            row[rank] = {}
         prev = piv
         rank += 1
     return rank

@@ -143,8 +143,14 @@ def invariant_symmetric_forms(L: LieAlgebra) -> LinFormMatrix:
     Returns the n x n symmetric matrix of linear forms in the free
     parameters of the solution space (one variable per kernel basis
     vector); a nondegenerate invariant form exists iff its generic rank
-    is dim L.
+    is dim L.  Built once per algebra instance, then kept on the instance.
     """
+    if not L._invariant_forms:
+        L._invariant_forms.append(_build_invariant_forms(L))
+    return L._invariant_forms[0]
+
+
+def _build_invariant_forms(L: LieAlgebra) -> LinFormMatrix:
     n = L.dim
     unknowns = n * (n + 1) // 2
     rows = []

@@ -222,6 +222,11 @@ class LieAlgebra:
         """IndexReport per RankPolicy, filled by `index.index`."""
         return {}
 
+    @cached_property
+    def _invariant_forms(self) -> list:
+        """The family of `index.invariant_symmetric_forms` once built (at most one item)."""
+        return []
+
 
 def _jacobi_defect(signed: Mapping[tuple[int, int], ScTable], i: int, j: int, k: int) -> dict[int, Fraction]:
     """Nonzero coordinates of [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j]."""

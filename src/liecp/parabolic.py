@@ -479,7 +479,10 @@ def borel_data_classical(family: str, rank: int) -> tuple[LieAlgebra, LieAlgebra
     else:
         labels, mats = _so_basis(n)
     h_labels, h_mats = _cartan([(a, a + 1 if family == "A" else n + 1 - a) for a in range(1, rank + 1)])
-    return _algebra_from_matrices(labels, mats), _algebra_from_matrices(labels + h_labels, mats + h_mats)
+    B = _algebra_from_matrices(labels + h_labels, mats + h_mats)
+    # N is the ideal spanned by B's first len(labels) basis vectors
+    m = len(labels)
+    return new_lie_algebra(m, B.labels[:m], {k: v for k, v in B.sc.items() if k[1] < m}), B
 
 
 @dataclass(frozen=True)

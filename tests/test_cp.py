@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from liecp import catalog
 from liecp import cp as cp_module
+from liecp import index as index_module
 from liecp.errors import (
     AmbientMismatch,
     ChainGap,
@@ -32,7 +33,7 @@ from liecp.liealg import (
     new_lie_algebra,
     parse_span,
 )
-from liecp.index import frobenius_semiradical, index
+from liecp.index import frobenius_semiradical, has_nondeg_invariant_form, index
 from liecp.parabolic import (
     CompositionA,
     CompositionC,
@@ -199,6 +200,15 @@ class TestCertificates:
         for L in (g5(), g6()):
             cert = no_cp_certificate(L, P, kind=FORM_KIND)
             assert cert is not None and verify_no_cp_certificate(L, cert, P)
+
+    def test_form_family_built_once_per_algebra(self, monkeypatch):
+        builds = []
+        build = index_module._build_invariant_forms
+        monkeypatch.setattr(index_module, "_build_invariant_forms", lambda L: builds.append(L) or build(L))
+        L = g5()
+        cert = no_cp_certificate(L, P, kind=FORM_KIND)
+        assert verify_no_cp_certificate(L, cert, P) and has_nondeg_invariant_form(L, P)
+        assert len(builds) == 1
 
     def test_morozov4_no_certificate(self):
         assert no_cp_certificate(morozov4(), P) is None

@@ -7,10 +7,10 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
+from liecp import catalog
 from liecp.errors import ExactDivisionError
 from liecp.exactla import (
     LinFormMatrix,
-    Poly,
     QMatrix,
     RankPolicy,
     evaluate,
@@ -20,9 +20,12 @@ from liecp.exactla import (
     rank_exact,
     rref,
     solve_linear_system,
+    _exact_div,
+    _mul_sub,
+    _symbolic_rank,
 )
 from liecp.index import bracket_matrix
-from liecp.parabolic import CompositionA, nilradical_A
+from liecp.parabolic import CompositionA, borel_data_classical, nilradical_A
 
 F = Fraction
 
@@ -42,6 +45,13 @@ small_qmatrices = st.integers(1, 5).flatmap(
 
 def sympy_rank(m: QMatrix) -> int:
     return sympy.Matrix([[sympy.Rational(x) for x in row] for row in m.entries]).rank() if m.rows else 0
+
+
+def sympy_generic_rank(m: LinFormMatrix) -> int:
+    ts = sympy.symbols(f"t0:{m.nvars}")
+    return sympy.Matrix(
+        m.rows, m.cols, [sum(sympy.Rational(c) * ts[k] for k, c in form.items()) for row in m.entries for form in row]
+    ).rank()
 
 
 class TestRankExact:
@@ -230,14 +240,7 @@ class TestGenericRank:
 
     def test_matches_sympy_symbolic(self):
         m = diamond_bracket_matrix()
-        ts = sympy.symbols("t0:4")
-        sm = sympy.Matrix(
-            [
-                [sum(sympy.Rational(c) * ts[k] for k, c in m.entries[i][j].items()) for j in range(4)]
-                for i in range(4)
-            ]
-        )
-        assert sm.rank() == generic_rank(m).rank
+        assert sympy_generic_rank(m) == generic_rank(m).rank
 
     @given(
         st.integers(2, 4).flatmap(
@@ -255,15 +258,7 @@ class TestGenericRank:
     def test_certified_matches_sympy(self, rows):
         n = len(rows)
         m = LinFormMatrix.build(n, n, 3, lambda i, j: rows[i][j])
-        ours = generic_rank(m, RankPolicy(certify=True)).rank
-        ts = sympy.symbols("t0:3")
-        sm = sympy.Matrix(
-            [
-                [sum(sympy.Rational(c) * ts[k] for k, c in m.entries[i][j].items()) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        assert ours == sm.rank()
+        assert generic_rank(m, RankPolicy(certify=True)).rank == sympy_generic_rank(m)
 
     @given(
         st.lists(
@@ -316,26 +311,160 @@ class TestPolicy:
         assert not RankPolicy(certify=False).certify_for(2)
 
 
-polys = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)), rationals, min_size=0, max_size=4
-).map(lambda terms: Poly(2, terms))
+# Packed monomials for the polynomial helper tests: two variables, fields of
+# WIDTH bits (the top one the guard bit), variable 0 most significant.
+WIDTH = 5
+GUARD = (1 << (2 * WIDTH - 1)) | (1 << (WIDTH - 1))
 
 
-class TestPoly:
-    @given(polys, polys)
+def pack(e0: int, e1: int) -> int:
+    return (e0 << WIDTH) | e1
+
+
+def evaluate_packed(p: dict[int, int], x0: int, x1: int) -> int:
+    mask = (1 << WIDTH) - 1
+    return sum(c * x0 ** (m >> WIDTH) * x1 ** (m & mask) for m, c in p.items())
+
+
+int_polys = st.dictionaries(
+    st.builds(pack, st.integers(0, 3), st.integers(0, 3)), st.integers(-9, 9).filter(bool), max_size=4
+)
+
+
+class TestIntPoly:
+    @given(int_polys, int_polys)
     def test_mul_then_exact_div(self, a, b):
-        if b.is_zero:
+        if not b:
             return
-        assert (a * b).exact_div(b) == a
+        assert _exact_div(_mul_sub(a, b, {}, {}), b, GUARD) == a
 
-    def test_inexact_division_raises(self):
-        a = Poly(1, {(1,): F(1), (0,): F(1)})  # t + 1
-        b = Poly(1, {(1,): F(1)})  # t
+    @given(int_polys, int_polys, int_polys, int_polys, st.integers(-5, 5), st.integers(-5, 5))
+    def test_mul_sub_evaluates_as_ring_hom(self, a, b, c, d, x0, x1):
+        value = evaluate_packed(_mul_sub(a, b, c, d), x0, x1)
+        ev = [evaluate_packed(p, x0, x1) for p in (a, b, c, d)]
+        assert value == ev[0] * ev[1] - ev[2] * ev[3]
+
+    def test_monomial_that_does_not_divide_raises(self):
+        # (t0 + 1) / t0: the remainder 1 has no multiple of t0
         with pytest.raises(ExactDivisionError):
-            a.exact_div(b)
+            _exact_div({pack(1, 0): 1, pack(0, 0): 1}, {pack(1, 0): 1}, GUARD)
+        # t0 / t1 borrows from variable 0's guard bit into variable 1's field
+        with pytest.raises(ExactDivisionError):
+            _exact_div({pack(1, 0): 1}, {pack(0, 1): 1}, GUARD)
 
-    @given(polys, st.lists(rationals, min_size=2, max_size=2))
-    def test_evaluate_is_ring_hom(self, a, point):
-        b = Poly(2, {(1, 0): F(2), (0, 1): F(-3)})
-        assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
-        assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+    def test_coefficient_remainder_raises(self):
+        with pytest.raises(ExactDivisionError):
+            _exact_div({pack(1, 1): 3}, {pack(0, 1): 2}, GUARD)
+        with pytest.raises(ExactDivisionError):
+            _exact_div({pack(2, 0): 1, pack(1, 1): 1}, {pack(1, 0): 1, pack(0, 1): 2}, GUARD)
+
+
+# Reference elimination: the same pivot rule and swaps over Q[x], with
+# Fraction coefficients and exponent-tuple monomials.
+
+
+def _ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = out.get(m, F(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_sub(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, F(0)) - c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_exact_div(num, den):
+    num, out = dict(num), {}
+    lead_d = max(den)
+    while num:
+        lead = max(num)
+        mono = tuple(a - b for a, b in zip(lead, lead_d))
+        assert all(e >= 0 for e in mono), "division is not exact"
+        out[mono] = num[lead] / den[lead_d]
+        num = _ref_sub(num, _ref_mul({mono: out[mono]}, den))
+    return out
+
+
+def reference_symbolic_rank(m: LinFormMatrix) -> int:
+    unit = [tuple(int(i == k) for i in range(m.nvars)) for k in range(m.nvars)]
+    a = [[{unit[k]: F(c) for k, c in form.items()} for form in row] for row in m.entries]
+    nr, nc = m.rows, m.cols
+    rank, prev = 0, None
+    while rank < min(nr, nc):
+        keys = [(len(a[i][j]), i, j) for i in range(rank, nr) for j in range(rank, nc) if a[i][j]]
+        if not keys:
+            break
+        _, pi, pj = min(keys)
+        a[rank], a[pi] = a[pi], a[rank]
+        for row in a:
+            row[rank], row[pj] = row[pj], row[rank]
+        piv = a[rank][rank]
+        for i in range(rank + 1, nr):
+            rik = a[i][rank]
+            for j in range(rank + 1, nc):
+                num = _ref_sub(_ref_mul(piv, a[i][j]), _ref_mul(rik, a[rank][j]))
+                a[i][j] = _ref_exact_div(num, prev) if prev is not None and num else num
+            a[i][rank] = {}
+        prev = piv
+        rank += 1
+    return rank
+
+
+@st.composite
+def deficient_linform_matrices(draw):
+    """Rows are constant rational combinations of at most `k` base rows of
+    linear forms in 3 variables, so the rank is at most k; a drawn column may be zeroed."""
+    rows, cols, k = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    forms = st.dictionaries(st.integers(0, 2), rationals.filter(bool), max_size=2)
+    base = [draw(st.lists(forms, min_size=cols, max_size=cols)) for _ in range(k)]
+    zero_col = draw(st.one_of(st.none(), st.integers(0, cols - 1)))
+    data = []
+    for _ in range(rows):
+        coeffs = draw(st.lists(st.sampled_from([F(0), F(1), F(-2, 3), F(5, 7)]), min_size=k, max_size=k))
+        row = []
+        for j in range(cols):
+            form = {}
+            for c, b in zip(coeffs, base):
+                for var, x in b[j].items():
+                    form[var] = form.get(var, F(0)) + c * x
+            row.append({} if j == zero_col else form)
+        data.append(row)
+    return LinFormMatrix.build(rows, cols, 3, lambda i, j: data[i][j])
+
+
+# The A4, A5, B3, B4 and D4 Borel nilradicals (part 0) and the Borels among
+# them that are not full rank (part 1); the B and D Borels here have index 0.
+BOREL_CASES = [("A", 4, 0), ("A", 4, 1), ("A", 5, 0), ("A", 5, 1), ("B", 3, 0), ("B", 4, 0), ("D", 4, 0)]
+
+
+class TestSymbolicRank:
+    @given(deficient_linform_matrices())
+    @example(LinFormMatrix.build(3, 3, 3, lambda i, j: {}))
+    @example(LinFormMatrix.build(2, 2, 1, lambda i, j: {0: F(1 + i, 2 + j)}))
+    @example(LinFormMatrix.build(2, 3, 3, lambda i, j: {0: F(1, 2), 2: F(-1, 3)} if j < 2 else {}))
+    @example(LinFormMatrix.build(3, 2, 3, lambda i, j: {} if i == 1 else {j: F(i + 1, 4)}))
+    def test_matches_sympy_on_rank_deficient_rational_matrices(self, m):
+        assert _symbolic_rank(m) == sympy_generic_rank(m)
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog_matches_reference_elimination(self, name):
+        m = bracket_matrix(catalog.get(name))
+        assert _symbolic_rank(m) == reference_symbolic_rank(m)
+
+    @pytest.mark.parametrize("family, rank, part", BOREL_CASES)
+    def test_borel_matches_reference_elimination(self, family, rank, part):
+        m = bracket_matrix(borel_data_classical(family, rank)[part])
+        assert _symbolic_rank(m) == reference_symbolic_rank(m) < min(m.rows, m.cols)
+
+    def test_type_a_nilradical_1_5_1(self):
+        # numerators reach degree 2 * min(rows, cols) before their division;
+        # fields sized for the entry degree alone overflow on this matrix
+        L, _ = nilradical_A(CompositionA((1, 5, 1)))
+        m = bracket_matrix(L)
+        assert _symbolic_rank(m) == reference_symbolic_rank(m) == 10
