@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--certify",
         choices=("auto", "on", "off"),
         default="auto",
-        help="symbolic rank certification (auto: side <= 12)",
+        help="eliminate when no sample meets the term rank: on a coadjoint slice for the index, "
+        "on the whole matrix otherwise (auto: side <= 12)",
     )
     common.add_argument("--attempts", type=int, default=128, help="sampling attempt cap")
     common.add_argument("--json", action="store_true", help="emit one JSON object")

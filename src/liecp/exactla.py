@@ -8,21 +8,28 @@ counts its pivots; `rref` back-substitutes over its pivot rows and divides
 once at the end, and `kernel`, `solve_linear_system` and the subspace
 calculus in `liealg` all go through `rref`.
 
-Rank over the field of rational functions in several variables is
-computed in two ways that cross-check each other.
+Rank over the field of rational functions in several variables
+(`generic_rank`) takes the first of these routes that settles it.
 
-* Randomized: evaluate the matrix of linear forms at integer points drawn
-  uniformly from [-B, B]^nvars and take the maximal rank seen.  Any
+* A sample meeting the term rank.  The matrix of linear forms is evaluated
+  at integer points drawn uniformly from [-B, B]^nvars.  Any
   specialization rank is a lower bound for the generic rank; by the
   Schwartz-Zippel lemma a single sample misses with probability at most
-  min(rows, cols) / (2B + 1), so with the default B = 10**6 and 5 samples
-  failure is negligible at desk scale.
-* Certified: fraction-free (Bareiss) elimination carried out symbolically
-  over Z[x]: rows are cleared of denominators, and each entry is a sparse
-  polynomial with integer coefficients and monomials packed into one int
-  each.  All divisions are exact by Sylvester's identity.  Enabled by
-  default only for matrices of side <= 12 to bound intermediate-expression
-  swell.
+  min(rows, cols) / (2B + 1).  The term rank (`rank_bound`, rounded down
+  to even for an alternating matrix) is an upper bound, so a sample that
+  meets it certifies the rank with no elimination.
+* Slice elimination, for bracket matrices: `index` hands `generic_rank` an
+  elimination on a coadjoint slice, a matrix in far fewer variables
+  (`index.slice_rank`).
+* Full elimination otherwise: fraction-free (Bareiss) elimination carried
+  out symbolically over Z[x].  Rows are cleared of denominators, and each
+  entry is a sparse polynomial with integer coefficients and monomials
+  packed into one int each.  All divisions are exact by Sylvester's
+  identity.
+
+Both eliminations run only where `RankPolicy.certify_for` allows, by
+default for matrices of side <= 12, to bound intermediate-expression
+swell; otherwise the highest sampled rank is returned uncertified.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ExactDivisionError
 
@@ -327,7 +334,7 @@ def evaluate(m: LinFormMatrix, point: VecLike) -> QMatrix:
 class RankPolicy:
     """Controls randomized rank evaluation and symbolic certification.
 
-    certify=None means automatic: certify exactly when the matrix side
+    certify=None means automatic: eliminate exactly when the matrix side
     (max of rows and cols) is at most CERTIFY_SIDE_LIMIT.  All randomness
     flows from `seed`; identical seeds reproduce identical results.
     """
@@ -344,6 +351,12 @@ class RankPolicy:
             raise ValueError("coeff_bound must be >= 2")
 
     def certify_for(self, side: int) -> bool:
+        """Whether a matrix of this side that no sample certified is eliminated.
+
+        The elimination is on a coadjoint slice for a bracket matrix and on
+        the whole matrix otherwise; a sample that meets the term rank needs
+        none and is certified whatever this says.
+        """
         if self.certify is None:
             return side <= CERTIFY_SIDE_LIMIT
         return self.certify
@@ -412,25 +425,96 @@ def _symbolic_rank(m: LinFormMatrix) -> int:
     return rank
 
 
-def generic_rank(m: LinFormMatrix, policy: RankPolicy = DEFAULT_POLICY) -> RankResult:
+def term_rank(m: LinFormMatrix) -> int:
+    """Size of a maximum matching of rows to columns through nonzero entries.
+
+    Every nonzero minor of m has a nonzero term in its permutation expansion,
+    which picks one nonzero entry per row and per column, so the rank of m
+    over any field never exceeds its term rank.  Each row in turn searches
+    breadth-first for an augmenting path.
+    """
+    support = [[j for j, form in enumerate(row) if form] for row in m.entries]
+    row_of = [-1] * m.cols
+    col_of = [-1] * m.rows
+    size = 0
+    for root in range(m.rows):
+        via: dict[int, int] = {}  # column -> the row it was reached from
+        frontier, free = [root], -1
+        while frontier and free < 0:
+            reached = []
+            for i in frontier:
+                for j in support[i]:
+                    if j not in via:
+                        via[j] = i
+                        if row_of[j] < 0:
+                            free = j
+                            break
+                        reached.append(row_of[j])
+                if free >= 0:
+                    break
+            frontier = reached
+        j = free
+        while j >= 0:
+            i = via[j]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+        size += free >= 0
+    return size
+
+
+def is_alternating(m: LinFormMatrix) -> bool:
+    """m is square with zero diagonal and m[j][i] = -m[i][j] for every entry."""
+    e = m.entries
+    return m.rows == m.cols and all(
+        not e[i][i] and all(e[j][i] == {k: -c for k, c in e[i][j].items()} for j in range(i))
+        for i in range(m.rows)
+    )
+
+
+def rank_bound(m: LinFormMatrix) -> int:
+    """Term rank of m, rounded down to even when m is alternating.
+
+    An alternating matrix over a field has even rank, so its rank is at
+    most the largest even number not above its term rank.
+    """
+    bound = term_rank(m)
+    return bound - bound % 2 if is_alternating(m) else bound
+
+
+def generic_rank(
+    m: LinFormMatrix,
+    policy: RankPolicy = DEFAULT_POLICY,
+    eliminate: Callable[[LinFormMatrix, tuple[Fraction, ...]], int] | None = None,
+) -> RankResult:
     """Rank of m over the field of rational functions in nvars variables.
 
-    Returns (rank, certified).  The randomized result is always a lower
-    bound; certified=True means the value is exact, either because symbolic
-    elimination confirmed it or because a sample attained min(rows, cols).
+    Returns (rank, certified).  The routes, in order:
+
+    1. Sampling.  Seeded samples are drawn until one reaches `rank_bound(m)`
+       (the term rank, rounded down to even for an alternating m).  A sampled
+       rank is a lower bound and the term rank an upper bound, so a sample
+       that meets it certifies the rank with no elimination.  Full rank is
+       the special case where the term rank is min(rows, cols).
+    2. Elimination, when no sample met the bound and
+       `policy.certify_for(max(rows, cols))` holds: `eliminate(m, point)`
+       with `point` the first sample of the highest rank seen, or else the
+       symbolic Bareiss elimination of the whole of m.  `index` passes a
+       coadjoint-slice elimination for bracket matrices here.
+    3. Otherwise the highest sampled rank, uncertified.
     """
-    bound = min(m.rows, m.cols)
+    bound = rank_bound(m)
     if bound == 0:
         return RankResult(0, True)
     rng = random.Random(policy.seed)
-    best = 0
+    best, best_point = -1, ()
     for _ in range(policy.samples):
         point = random_point(rng, m.nvars, policy.coeff_bound)
-        best = max(best, rank_exact(evaluate(m, point)))
+        r = rank_exact(evaluate(m, point))
+        if r > best:
+            best, best_point = r, point
         if best == bound:
             return RankResult(best, True)
     if policy.certify_for(max(m.rows, m.cols)):
-        sym = _symbolic_rank(m)
+        sym = _symbolic_rank(m) if eliminate is None else eliminate(m, best_point)
         if sym < best:
             raise ArithmeticError("symbolic rank below a sampled rank; elimination bug")
         return RankResult(sym, True)

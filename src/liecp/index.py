@@ -2,7 +2,9 @@
 
 The index is dim L minus the generic rank of the bracket matrix, the
 antisymmetric matrix of linear forms whose (i, j) entry expands [x_i, x_j]
-in dual coordinates.  A functional is regular when its stabilizer reaches
+in dual coordinates; a sample meeting its term rank certifies that rank,
+and otherwise, where the policy allows, elimination on a coadjoint slice
+(`slice_rank`) does.  A functional is regular when its stabilizer reaches
 that minimum; the span of stabilizers over sampled regular functionals is
 a certified *subset* of the full stabilizer-span ideal, which is all the
 soundness downstream no-CP certificates need.
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
 
 from .errors import AmbientMismatch, SamplingExhausted
 from .exactla import (
@@ -20,9 +24,13 @@ from .exactla import (
     LinFormMatrix,
     QMatrix,
     RankPolicy,
+    _symbolic_rank,
+    evaluate,
     generic_rank,
     kernel,
     random_point,
+    rank_exact,
+    rref,
 )
 from .liealg import Functional, LieAlgebra, Subspace, center
 
@@ -40,10 +48,77 @@ def bracket_matrix(L: LieAlgebra) -> LinFormMatrix:
     return LinFormMatrix.build(L.dim, L.dim, L.dim, lambda i, j: L.bracket_table(i, j))
 
 
+def _spans_off_slice(m: LinFormMatrix, point: Sequence[Fraction], t: Sequence[int]) -> bool:
+    """At point zeroed off t, the rows of m outside t have rank n - |t|."""
+    keep = set(t)
+    xi0 = [x if k in keep else ZERO for k, x in enumerate(point)]
+    outside = [row for k, row in enumerate(evaluate(m, xi0).entries) if k not in keep]
+    return rank_exact(QMatrix(len(outside), m.cols, tuple(outside))) == len(outside)
+
+
+def slice_coordinates(m: LinFormMatrix, point: Sequence[Fraction]) -> list[int]:
+    """Coordinates t of a coadjoint slice for the bracket matrix m, found from one sample.
+
+    Starts from the rows of m(point) that depend on earlier rows, adds
+    coordinates in basis order until `_spans_off_slice` holds, then drops
+    every coordinate whose removal keeps it.  All coordinates always pass.
+    """
+    n = m.rows
+    independent = set(rref(evaluate(m, point).transpose().entries, n)[1])
+    t = [k for k in range(n) if k not in independent]
+    spare = [k for k in range(n) if k in independent]
+    while not _spans_off_slice(m, point, t):
+        t = sorted(t + [spare.pop(0)])
+    for k in list(t):
+        smaller = [c for c in t if c != k]
+        if _spans_off_slice(m, point, smaller):
+            t = smaller
+    return t
+
+
+def slice_matrix(m: LinFormMatrix, t: Sequence[int]) -> LinFormMatrix:
+    """m on {xi : xi_k = 0 for k not in t}, in the |t| variables of t in order."""
+    var = {k: v for v, k in enumerate(t)}
+    return LinFormMatrix.build(
+        m.rows, m.cols, len(t), lambda i, j: {var[k]: c for k, c in m.entries[i][j].items() if k in var}
+    )
+
+
+def slice_rank(m: LinFormMatrix, point: Sequence[Fraction]) -> int:
+    """Generic rank of a bracket matrix by symbolic elimination on a coadjoint slice.
+
+    Let m(xi) be the bracket matrix of L at xi in L*, t a set of
+    coordinates, S = {xi : xi_k = 0 for k not in t}, and xi0 in S a point
+    at which the rows of m(xi0) outside t have rank n - |t|
+    (`_spans_off_slice`).  Then the generic rank r of m equals the generic
+    rank r_S of m restricted to S, a matrix of linear forms in |t|
+    variables.
+
+    Proof.  r_S <= r, since m on S is a specialization of m.  For the
+    converse, write ad*_X xi = m(xi) a for X = sum a_j x_j.  The Jacobi
+    identity gives m(ad*_X xi) = A^T m(xi) + m(xi) A with A the matrix of
+    ad X, so the derivative along the linear vector field xi -> ad*_X xi
+    maps every (r_S + 1)-minor of m into the span W of those minors.
+    Along s -> exp(s ad*_X) xi the minors therefore solve a linear ODE, and
+    the common zero set V of W over C is stable under every such flow.  V
+    contains S.  The map (s_1, ..., s_n, sigma) ->
+    exp(s_1 ad*_{x_1}) ... exp(s_n ad*_{x_n}) (xi0 + sigma), sigma in S, lands
+    in V, and its differential at 0 has image m(xi0) C^n + S.  That is all
+    of C^n exactly when the rows of m(xi0) outside t have rank n - |t|, so
+    then V contains an open set, hence is everything: every
+    (r_S + 1)-minor of m vanishes identically and r <= r_S.
+    """
+    return _symbolic_rank(slice_matrix(m, slice_coordinates(m, point)))
+
+
 def index(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> IndexReport:
-    """Computed once per algebra instance and policy, then kept on the instance."""
+    """Computed once per algebra instance and policy, then kept on the instance.
+
+    When no sample meets the term rank and `policy` asks for elimination,
+    the bracket matrix is eliminated on a coadjoint slice (`slice_rank`).
+    """
     if policy not in L._index_reports:
-        rank, certified = generic_rank(bracket_matrix(L), policy)
+        rank, certified = generic_rank(bracket_matrix(L), policy, eliminate=slice_rank)
         L._index_reports[policy] = IndexReport(L.dim - rank, rank, certified, policy.seed)
     return L._index_reports[policy]
 

@@ -386,10 +386,12 @@ class TestCodim1:
         assert rep.direction == -1 and not rep.fsr_in_m
         assert rep.status == "certified"
 
-    def test_diamond_sampled_is_probable(self):
-        # diamond's bracket matrix has rank 2 < 4: no sample reaches full rank to certify it
-        L = diamond()
-        rep = codim1_analysis(L, parse_span(L, "x,y,z"), P.with_options(certify=False))
+    def test_b3_nilradical_sampled_is_probable(self):
+        # the B3 nilradical's bracket matrix has term rank 8 but rank 6: no
+        # sample reaches the term-rank bound to certify it
+        L = borel_data_classical("B", 3)[0]
+        m = parse_span(L, "Xm13,Xe1,Xp13,Xp12,Xm23,Xe2,Xp23,Xe3")
+        rep = codim1_analysis(L, m, P.with_options(certify=False))
         assert rep.direction == -1 and not rep.fsr_in_m
         assert rep.status == "probable"
 

@@ -1,5 +1,6 @@
 """Exact linear algebra: ranks, kernels, solving, and generic rank."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,9 @@ from liecp.exactla import (
     _exact_div,
     _mul_sub,
     _symbolic_rank,
+    is_alternating,
+    rank_bound,
+    term_rank,
 )
 from liecp.index import bracket_matrix
 from liecp.parabolic import CompositionA, borel_data_classical, nilradical_A
@@ -468,3 +472,72 @@ class TestSymbolicRank:
         L, _ = nilradical_A(CompositionA((1, 5, 1)))
         m = bracket_matrix(L)
         assert _symbolic_rank(m) == reference_symbolic_rank(m) == 10
+
+
+sparse_forms = st.one_of(st.just({}), st.dictionaries(st.integers(0, 2), rationals.filter(bool), min_size=1, max_size=2))
+
+
+@st.composite
+def bounded_linform_matrices(draw):
+    """Sparse matrices of linear forms in 3 variables; half of them alternating."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        upper = {(i, j): draw(sparse_forms) for i in range(n) for j in range(i + 1, n)}
+
+        def entry(i, j):
+            if i < j:
+                return upper[i, j]
+            return {k: -c for k, c in upper[j, i].items()} if i > j else {}
+
+        return LinFormMatrix.build(n, n, 3, entry)
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    data = [[draw(sparse_forms) for _ in range(cols)] for _ in range(rows)]
+    return LinFormMatrix.build(rows, cols, 3, lambda i, j: data[i][j])
+
+
+def brute_force_term_rank(m: LinFormMatrix) -> int:
+    """Largest k such that some k rows and k columns pair up through nonzero entries."""
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rows in itertools.combinations(range(m.rows), k):
+            for cols in itertools.permutations(range(m.cols), k):
+                if all(m.entries[i][j] for i, j in zip(rows, cols)):
+                    return k
+    return 0
+
+
+class TestRankBound:
+    @given(bounded_linform_matrices())
+    @example(diamond_bracket_matrix())
+    def test_bounds_the_symbolic_rank(self, m):
+        bound = rank_bound(m)
+        assert term_rank(m) == brute_force_term_rank(m)
+        assert _symbolic_rank(m) <= bound
+        if is_alternating(m):
+            assert bound == term_rank(m) - term_rank(m) % 2
+        else:
+            assert bound == term_rank(m)
+
+    @given(bounded_linform_matrices())
+    def test_certified_sample_matches_elimination(self, m):
+        rank, certified = generic_rank(m, RankPolicy(certify=False))
+        if certified:
+            assert rank == _symbolic_rank(m)
+
+    def test_alternating_is_read_from_the_entries(self):
+        assert is_alternating(diamond_bracket_matrix())
+        assert not is_alternating(LinFormMatrix.build(2, 2, 1, lambda i, j: {0: F(1)} if i < j else {}))
+        assert not is_alternating(LinFormMatrix.build(2, 2, 1, lambda i, j: {0: F(1)}))
+        assert not is_alternating(LinFormMatrix.build(1, 2, 1, lambda i, j: {}))
+
+    def test_odd_term_rank_of_an_alternating_matrix_is_rounded_down(self):
+        # the 3 x 3 cross-product matrix has term rank 3 and rank 2
+        m = LinFormMatrix.build(
+            3, 3, 3, lambda i, j: {} if i == j else {3 - i - j: F(1) if (j - i) % 3 == 1 else F(-1)}
+        )
+        assert (term_rank(m), rank_bound(m)) == (3, 2)
+        assert generic_rank(m, RankPolicy(certify=False)) == (2, True)
+
+    def test_b3_nilradical_is_not_met_by_its_term_rank(self):
+        m = bracket_matrix(borel_data_classical("B", 3)[0])
+        assert (term_rank(m), rank_bound(m)) == (8, 8)
+        assert generic_rank(m, RankPolicy(certify=False)) == (6, False)

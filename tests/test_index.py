@@ -1,5 +1,6 @@
 """Index, stabilizers, stabilizer-span ideal, invariant forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import sympy
 
 from liecp import index as index_module
 from liecp.errors import AmbientMismatch
-from liecp.exactla import RankPolicy
+from liecp.exactla import RankPolicy, _symbolic_rank, evaluate, generic_rank, random_point, rref
 from liecp.liealg import (
     Functional,
     Subspace,
@@ -31,10 +32,21 @@ from liecp.index import (
     is_regular,
     is_square_integrable,
     sample_regular,
+    slice_coordinates,
+    slice_matrix,
+    slice_rank,
     stabilizer,
+    _spans_off_slice,
 )
 from liecp import catalog
-from liecp.parabolic import borel_data_classical, verify_theorem62
+from liecp.parabolic import (
+    CompositionA,
+    CompositionC,
+    borel_data_classical,
+    nilradical_A,
+    nilradical_C,
+    verify_theorem62,
+)
 
 F = Fraction
 P = RankPolicy()
@@ -417,9 +429,9 @@ class TestIndexComputedOnce:
         calls = []
         real = index_module.generic_rank
 
-        def counting(m, policy=P):
+        def counting(m, policy=P, **kwargs):
             calls.append(policy)
-            return real(m, policy)
+            return real(m, policy, **kwargs)
 
         monkeypatch.setattr(index_module, "generic_rank", counting)
         return calls
@@ -443,3 +455,91 @@ class TestIndexComputedOnce:
                 index(L, policy)
         assert rank_calls == [P, other, P, other]
         assert index(first, other).index == index(second, P).index == 2
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def _slice_cases():
+    """(name, constructor) pairs; constructing every algebra at collection time would slow collection."""
+    cases = [(f"catalog {name}", lambda name=name: catalog.get(name)) for name in catalog.names()]
+    type_a = [CompositionA(c) for n in range(1, 7) for c in _compositions(n)]
+    type_c = [CompositionC.from_half(h, r - s) for r in range(1, 4) for s in range(r + 1) for h in _compositions(s)]
+    cases += [(f"A {c.parts}", lambda c=c: nilradical_A(c)[0]) for c in type_a]
+    cases += [(f"C {c.parts}", lambda c=c: nilradical_C(c)[0]) for c in type_c]
+    cases += [(f"{f}{r} Borel", lambda f=f, r=r: borel_data_classical(f, r)[1]) for f, r in (("A", 4), ("A", 5))]
+    cases += [
+        (f"{f}{r} nilradical", lambda f=f, r=r: borel_data_classical(f, r)[0])
+        for f, r in (("B", 3), ("B", 4), ("B", 5), ("D", 4))
+    ]
+    return [pytest.param(build, id=name) for name, build in cases]
+
+
+def _sample(m, seed=0):
+    return random_point(random.Random(seed), m.nvars, P.coeff_bound)
+
+
+class TestCoadjointSlice:
+    """slice_rank against symbolic elimination of the whole bracket matrix."""
+
+    @pytest.mark.parametrize("build", _slice_cases())
+    def test_matches_full_elimination(self, build):
+        m = bracket_matrix(build())
+        point = _sample(m)
+        t = slice_coordinates(m, point)
+        assert _spans_off_slice(m, point, t)
+        assert slice_rank(m, point) == _symbolic_rank(slice_matrix(m, t)) == _symbolic_rank(m)
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_slice_below_the_index_is_rejected(self, name):
+        # the rows outside t have rank at most dim - index at any point, so a t
+        # with fewer than index coordinates (the empty one included) never passes
+        L = catalog.get(name)
+        m = bracket_matrix(L)
+        point = _sample(m)
+        assert not _spans_off_slice(m, point, [])
+        assert not _spans_off_slice(m, point, list(range(index(L, P).index - 1)))
+
+    @pytest.mark.parametrize("family, rank, part", [("A", 4, 1), ("B", 3, 0), ("D", 4, 0)])
+    def test_dependent_rows_alone_are_rejected(self, family, rank, part):
+        # the growth starts from the rows of the sample that depend on earlier
+        # rows; here they fail the check, so the slice must grow past them
+        m = bracket_matrix(borel_data_classical(family, rank)[part])
+        point = _sample(m)
+        independent = set(rref(evaluate(m, point).transpose().entries, m.rows)[1])
+        first = [k for k in range(m.rows) if k not in independent]
+        assert not _spans_off_slice(m, point, first)
+        assert slice_coordinates(m, point) != first
+
+    def test_torus_slice_of_a_borel_is_rejected(self):
+        # on the torus coordinates of the A4 Borel the bracket matrix vanishes,
+        # so accepting them would report rank 0 instead of 12
+        L = borel_data_classical("A", 4)[1]
+        m = bracket_matrix(L)
+        torus = [k for k, label in enumerate(L.labels) if label.startswith("H")]
+        assert _symbolic_rank(slice_matrix(m, torus)) == 0 < _symbolic_rank(m) == 12
+        assert not _spans_off_slice(m, _sample(m), torus)
+
+    def test_index_eliminates_on_the_slice(self, monkeypatch):
+        seen = []
+        real = index_module._symbolic_rank
+
+        def recording(m):
+            seen.append(m.nvars)
+            return real(m)
+
+        monkeypatch.setattr(index_module, "_symbolic_rank", recording)
+        L = borel_data_classical("B", 3)[0]
+        rep = index(L, RankPolicy(certify=True))
+        assert (rep.index, rep.certified) == (3, True)
+        assert seen and all(nvars < L.dim for nvars in seen)
+
+    def test_elimination_below_a_sample_raises(self):
+        m = bracket_matrix(borel_data_classical("B", 3)[0])
+        with pytest.raises(ArithmeticError):
+            generic_rank(m, RankPolicy(certify=True), eliminate=lambda m, point: 2)

@@ -248,6 +248,17 @@ class TestTable1:
         rep = table1_check("D", rank, P)
         assert rep.ok and rep.half_exceeds_m
 
+    @pytest.mark.parametrize("family, rank", [("A", 6), ("A", 7), ("C", 5), ("D", 5)])
+    def test_forced_certification(self, family, rank):
+        # every index here is proved: by a sample meeting the term rank, or by
+        # elimination on a coadjoint slice
+        policy = RankPolicy(certify=True)
+        rep = table1_check(family, rank, policy)
+        row = table1_row(family, rank)
+        assert (rep.dim_n, rep.index_n, rep.index_b) == (row.dim_n, row.index_n, row.index_b)
+        assert rep.row == row and rep.ok
+        assert all(index(algebra, policy).certified for algebra in borel_data_classical(family, rank))
+
     def test_specific_rows(self):
         b3 = table1_row("B", 3)
         assert (b3.dim_n, b3.index_n, b3.index_b, b3.half, b3.max_abelian) == (9, 3, 0, 6, 5)
