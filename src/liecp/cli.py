@@ -59,9 +59,8 @@ def subspace_exprs(labels, subspace) -> list[str]:
 
 
 def _policy(args) -> RankPolicy:
-    certify = {"auto": None, "on": True, "off": False}[args.certify]
     return RankPolicy(
-        samples=args.samples, coeff_bound=args.bound, certify=certify, seed=args.seed
+        samples=args.samples, coeff_bound=args.bound, certify=args.certify == "on", seed=args.seed
     )
 
 
@@ -80,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=5, help="rank samples per matrix")
     common.add_argument(
         "--certify",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="eliminate when no sample meets the term rank: on a coadjoint slice for the index, "
-        "on the whole matrix otherwise (auto: side <= 12)",
+        choices=("on", "off"),
+        default="on",
+        help="eliminate when a sample misses the term rank: on a coadjoint slice for the index, "
+        "on the whole matrix otherwise (off: sample only)",
     )
     common.add_argument("--attempts", type=int, default=128, help="sampling attempt cap")
     common.add_argument("--json", action="store_true", help="emit one JSON object")
@@ -403,6 +402,7 @@ def _cmd_table1(args, policy):
         "cp_expected": rep.cp_expected,
         "cp_found": rep.cp.is_cp if rep.cp else None,
         "half_exceeds_m": rep.half_exceeds_m,
+        "certified": rep.certified,
         "ok": rep.ok,
     }
     lines = [

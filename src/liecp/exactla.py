@@ -27,9 +27,8 @@ Rank over the field of rational functions in several variables
   packed into one int each.  All divisions are exact by Sylvester's
   identity.
 
-Both eliminations run only where `RankPolicy.certify_for` allows, by
-default for matrices of side <= 12, to bound intermediate-expression
-swell; otherwise the highest sampled rank is returned uncertified.
+Both eliminations run unless `RankPolicy.certify` is off; then the highest
+sampled rank is returned uncertified.
 """
 
 from __future__ import annotations
@@ -46,9 +45,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 VecLike = Sequence["Fraction | int"]
-
-#: Largest matrix side for which symbolic certification is on by default.
-CERTIFY_SIDE_LIMIT = 12
 
 
 def as_vector(values: VecLike) -> tuple[Fraction, ...]:
@@ -334,14 +330,16 @@ def evaluate(m: LinFormMatrix, point: VecLike) -> QMatrix:
 class RankPolicy:
     """Controls randomized rank evaluation and symbolic certification.
 
-    certify=None means automatic: eliminate exactly when the matrix side
-    (max of rows and cols) is at most CERTIFY_SIDE_LIMIT.  All randomness
-    flows from `seed`; identical seeds reproduce identical results.
+    certify=True (the default) proves every generic rank: a sample that
+    meets the term rank, or else an exact elimination.  certify=False
+    samples only and may return an uncertified lower bound.  All
+    randomness flows from `seed`; identical seeds reproduce identical
+    results.
     """
 
     samples: int = 5
     coeff_bound: int = 10**6
-    certify: bool | None = None
+    certify: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -349,17 +347,6 @@ class RankPolicy:
             raise ValueError("samples must be >= 1")
         if self.coeff_bound < 2:
             raise ValueError("coeff_bound must be >= 2")
-
-    def certify_for(self, side: int) -> bool:
-        """Whether a matrix of this side that no sample certified is eliminated.
-
-        The elimination is on a coadjoint slice for a bracket matrix and on
-        the whole matrix otherwise; a sample that meets the term rank needs
-        none and is certified whatever this says.
-        """
-        if self.certify is None:
-            return side <= CERTIFY_SIDE_LIMIT
-        return self.certify
 
     def with_options(self, **kwargs) -> RankPolicy:
         return replace(self, **kwargs)
@@ -489,33 +476,35 @@ def generic_rank(
 
     Returns (rank, certified).  The routes, in order:
 
-    1. Sampling.  Seeded samples are drawn until one reaches `rank_bound(m)`
+    1. Sampling.  Seeded samples, one under `policy.certify` and up to
+       `policy.samples` otherwise, are drawn until one reaches `rank_bound(m)`
        (the term rank, rounded down to even for an alternating m).  A sampled
        rank is a lower bound and the term rank an upper bound, so a sample
        that meets it certifies the rank with no elimination.  Full rank is
        the special case where the term rank is min(rows, cols).
-    2. Elimination, when no sample met the bound and
-       `policy.certify_for(max(rows, cols))` holds: `eliminate(m, point)`
-       with `point` the first sample of the highest rank seen, or else the
-       symbolic Bareiss elimination of the whole of m.  `index` passes a
-       coadjoint-slice elimination for bracket matrices here.
-    3. Otherwise the highest sampled rank, uncertified.
+    2. Elimination, under `policy.certify`, right after the first sample
+       that misses the bound: further samples cannot change an exact
+       elimination.  It is `eliminate(m, point)` with `point` that sample,
+       or else the symbolic Bareiss elimination of the whole of m.  `index`
+       passes a coadjoint-slice elimination for bracket matrices here.
+    3. Otherwise, with certification off, the highest sampled rank,
+       uncertified.
     """
     bound = rank_bound(m)
     if bound == 0:
         return RankResult(0, True)
     rng = random.Random(policy.seed)
     best, best_point = -1, ()
-    for _ in range(policy.samples):
+    for _ in range(1 if policy.certify else policy.samples):
         point = random_point(rng, m.nvars, policy.coeff_bound)
         r = rank_exact(evaluate(m, point))
+        if r == bound:
+            return RankResult(r, True)
         if r > best:
             best, best_point = r, point
-        if best == bound:
-            return RankResult(best, True)
-    if policy.certify_for(max(m.rows, m.cols)):
-        sym = _symbolic_rank(m) if eliminate is None else eliminate(m, best_point)
-        if sym < best:
-            raise ArithmeticError("symbolic rank below a sampled rank; elimination bug")
-        return RankResult(sym, True)
-    return RankResult(best, False)
+    if not policy.certify:
+        return RankResult(best, False)
+    sym = _symbolic_rank(m) if eliminate is None else eliminate(m, best_point)
+    if sym < best:
+        raise ArithmeticError("symbolic rank below a sampled rank; elimination bug")
+    return RankResult(sym, True)

@@ -3,11 +3,11 @@
 The index is dim L minus the generic rank of the bracket matrix, the
 antisymmetric matrix of linear forms whose (i, j) entry expands [x_i, x_j]
 in dual coordinates; a sample meeting its term rank certifies that rank,
-and otherwise, where the policy allows, elimination on a coadjoint slice
-(`slice_rank`) does.  A functional is regular when its stabilizer reaches
-that minimum; the span of stabilizers over sampled regular functionals is
-a certified *subset* of the full stabilizer-span ideal, which is all the
-soundness downstream no-CP certificates need.
+and otherwise elimination on a coadjoint slice (`slice_rank`) does, unless
+the policy turns certification off.  A functional is regular when its
+stabilizer reaches that minimum; the span of stabilizers over sampled
+regular functionals is a certified *subset* of the full stabilizer-span
+ideal, which is all the soundness downstream no-CP certificates need.
 """
 
 from __future__ import annotations
@@ -49,11 +49,17 @@ def bracket_matrix(L: LieAlgebra) -> LinFormMatrix:
 
 
 def _spans_off_slice(m: LinFormMatrix, point: Sequence[Fraction], t: Sequence[int]) -> bool:
-    """At point zeroed off t, the rows of m outside t have rank n - |t|."""
-    keep = set(t)
-    xi0 = [x if k in keep else ZERO for k, x in enumerate(point)]
-    outside = [row for k, row in enumerate(evaluate(m, xi0).entries) if k not in keep]
-    return rank_exact(QMatrix(len(outside), m.cols, tuple(outside))) == len(outside)
+    """At point zeroed off t, the rows of m outside t have rank n - |t|.
+
+    Only those rows are evaluated, and only on the coordinates in t.
+    """
+    xi0 = {k: point[k] for k in t}
+    outside = tuple(
+        tuple(sum([c * xi0[k] for k, c in form.items() if k in xi0], ZERO) if form else ZERO for form in row)
+        for i, row in enumerate(m.entries)
+        if i not in xi0
+    )
+    return rank_exact(QMatrix(len(outside), m.cols, outside)) == len(outside)
 
 
 def slice_coordinates(m: LinFormMatrix, point: Sequence[Fraction]) -> list[int]:
@@ -114,8 +120,8 @@ def slice_rank(m: LinFormMatrix, point: Sequence[Fraction]) -> int:
 def index(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> IndexReport:
     """Computed once per algebra instance and policy, then kept on the instance.
 
-    When no sample meets the term rank and `policy` asks for elimination,
-    the bracket matrix is eliminated on a coadjoint slice (`slice_rank`).
+    When a sample misses the term rank and `policy.certify` is on, the
+    bracket matrix is eliminated on a coadjoint slice (`slice_rank`).
     """
     if policy not in L._index_reports:
         rank, certified = generic_rank(bracket_matrix(L), policy, eliminate=slice_rank)

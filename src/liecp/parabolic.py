@@ -544,6 +544,7 @@ class Table1Report:
     cp: CPReport | None
     cp_expected: bool
     half_exceeds_m: bool | None
+    certified: bool
     ok: bool
 
 
@@ -553,7 +554,8 @@ def table1_check(family: str, rank: int, policy: RankPolicy = DEFAULT_POLICY) ->
     For types A and C the distinguished abelian ideal is verified as a CP
     of dimension (dim N + i(N))/2 = m.  For B and D the bound exceeds the
     recorded maximal abelian dimension, so no CP is expected; the m value
-    is a recorded constant, never recomputed.
+    is a recorded constant, never recomputed.  `certified` holds when both
+    indices are certified.
     """
     family = family.upper()
     row = table1_row(family, rank)
@@ -586,6 +588,7 @@ def table1_check(family: str, rank: int, policy: RankPolicy = DEFAULT_POLICY) ->
         cp=cp_rep,
         cp_expected=cp_expected,
         half_exceeds_m=half_exceeds,
+        certified=i_n.certified and i_b.certified,
         ok=ok,
     )
 

@@ -1,13 +1,18 @@
 """CLI behavior: exit codes, JSON shape, determinism."""
 
+import argparse
 import io
 import json
+import re
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from liecp.catalog import data_text
-from liecp.cli import main
+from liecp.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -195,6 +200,17 @@ class TestDeterminism:
     def test_human_output(self, diamond_file):
         code, out = run(["index", diamond_file])
         assert code == 0 and "index 2" in out
+
+
+class TestReadme:
+    def test_certify_choices_match_the_parser(self):
+        # the common-options paragraph names exactly the parser's --certify choices
+        text = " ".join(README.read_text().split())
+        options = text[text.index("Common options:"):].split(". ")[0]
+        documented = re.search(r"`--certify ([a-z|]+)`", options).group(1).split("|")
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        certify = next(a for a in commands.choices["index"]._actions if "--certify" in a.option_strings)
+        assert documented == list(certify.choices)
 
 
 def assert_error_line(out: str, command: str) -> None:

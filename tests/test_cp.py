@@ -210,6 +210,14 @@ class TestCertificates:
         assert verify_no_cp_certificate(L, cert, P) and has_nondeg_invariant_form(L, P)
         assert len(builds) == 1
 
+    def test_verification_reuses_the_default_index(self):
+        # the default policy already certifies, so the re-check's certified
+        # policy equals it and the index is computed once
+        L = borel_data_classical("B", 4)[0]
+        cert = no_cp_certificate(L, P)
+        assert cert is not None and verify_no_cp_certificate(L, cert, P)
+        assert list(L._index_reports) == [P]
+
     def test_morozov4_no_certificate(self):
         assert no_cp_certificate(morozov4(), P) is None
 

@@ -8,7 +8,8 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from liecp import catalog
+from liecp import catalog, exactla
+from liecp.cli import main
 from liecp.errors import ExactDivisionError
 from liecp.exactla import (
     LinFormMatrix,
@@ -308,11 +309,56 @@ class TestPolicy:
         with pytest.raises(ValueError):
             RankPolicy(coeff_bound=1)
 
-    def test_auto_certify_threshold(self):
-        p = RankPolicy()
-        assert p.certify_for(12) and not p.certify_for(13)
-        assert RankPolicy(certify=True).certify_for(100)
-        assert not RankPolicy(certify=False).certify_for(2)
+    def test_certify_is_on_by_default(self):
+        assert RankPolicy().certify is True
+
+    def test_certify_off_samples_only(self):
+        # the B3 nilradical has term rank 8 and rank 6: no sample certifies it
+        m = bracket_matrix(borel_data_classical("B", 3)[0])
+
+        def eliminate(m, point):
+            raise AssertionError("certify=False must not eliminate")
+
+        assert generic_rank(m, RankPolicy(certify=False), eliminate=eliminate) == (6, False)
+
+    def test_certify_auto_is_rejected(self, tmp_path):
+        path = tmp_path / "diamond.alg"
+        path.write_text(catalog.data_text("diamond.alg"))
+        with pytest.raises(SystemExit) as exc:
+            main(["index", str(path), "--certify", "auto"])
+        assert exc.value.code == 2
+
+
+class TestFirstMiss:
+    """Under certify=True, generic_rank eliminates right after the first sample that misses."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        points = []
+
+        def recording(rng, n, bound):
+            points.append(random_point(rng, n, bound))
+            return points[-1]
+
+        monkeypatch.setattr(exactla, "random_point", recording)
+        return points
+
+    def test_one_sample_then_elimination(self, drawn):
+        m = bracket_matrix(borel_data_classical("B", 3)[0])
+        passed = []
+
+        def eliminate(m, point):
+            passed.append(point)
+            return 6
+
+        assert generic_rank(m, RankPolicy(certify=True), eliminate=eliminate) == (6, True)
+        assert len(drawn) == 1 and passed == drawn
+
+    def test_certify_off_draws_every_sample(self, drawn):
+        m = bracket_matrix(borel_data_classical("B", 3)[0])
+        policy = RankPolicy(samples=7, certify=False)
+        assert generic_rank(m, policy) == (6, False)
+        assert len(drawn) == policy.samples
 
 
 # Packed monomials for the polynomial helper tests: two variables, fields of

@@ -8,7 +8,16 @@ import sympy
 
 from liecp import index as index_module
 from liecp.errors import AmbientMismatch
-from liecp.exactla import RankPolicy, _symbolic_rank, evaluate, generic_rank, random_point, rref
+from liecp.exactla import (
+    QMatrix,
+    RankPolicy,
+    _symbolic_rank,
+    evaluate,
+    generic_rank,
+    random_point,
+    rank_exact,
+    rref,
+)
 from liecp.liealg import (
     Functional,
     Subspace,
@@ -38,7 +47,7 @@ from liecp.index import (
     stabilizer,
     _spans_off_slice,
 )
-from liecp import catalog
+from liecp import catalog, parabolic
 from liecp.parabolic import (
     CompositionA,
     CompositionC,
@@ -465,12 +474,16 @@ def _compositions(n):
             yield (first,) + rest
 
 
-def _slice_cases():
+def _catalog_and_type_a_cases():
     """(name, constructor) pairs; constructing every algebra at collection time would slow collection."""
     cases = [(f"catalog {name}", lambda name=name: catalog.get(name)) for name in catalog.names()]
     type_a = [CompositionA(c) for n in range(1, 7) for c in _compositions(n)]
+    return cases + [(f"A {c.parts}", lambda c=c: nilradical_A(c)[0]) for c in type_a]
+
+
+def _slice_cases():
+    cases = _catalog_and_type_a_cases()
     type_c = [CompositionC.from_half(h, r - s) for r in range(1, 4) for s in range(r + 1) for h in _compositions(s)]
-    cases += [(f"A {c.parts}", lambda c=c: nilradical_A(c)[0]) for c in type_a]
     cases += [(f"C {c.parts}", lambda c=c: nilradical_C(c)[0]) for c in type_c]
     cases += [(f"{f}{r} Borel", lambda f=f, r=r: borel_data_classical(f, r)[1]) for f, r in (("A", 4), ("A", 5))]
     cases += [
@@ -484,8 +497,35 @@ def _sample(m, seed=0):
     return random_point(random.Random(seed), m.nvars, P.coeff_bound)
 
 
+def _spans_off_slice_zeroed(m, point, t):
+    """Reference check: the whole of m evaluated at point zeroed off t."""
+    keep = set(t)
+    xi0 = [x if k in keep else F(0) for k, x in enumerate(point)]
+    outside = [row for k, row in enumerate(evaluate(m, xi0).entries) if k not in keep]
+    return rank_exact(QMatrix(len(outside), m.cols, tuple(outside))) == len(outside)
+
+
+def _slice_guard_cases():
+    cases = _catalog_and_type_a_cases()
+    cases += [
+        (f"{f}{r} {'NB'[part]}", lambda f=f, r=r, part=part: borel_data_classical(f, r)[part])
+        for f in "ABCD"
+        for r in range(parabolic._RANK_MINS[f], parabolic._RANK_CAPS[f] + 1)
+        for part in (0, 1)
+    ]
+    return [pytest.param(build, id=name) for name, build in cases]
+
+
 class TestCoadjointSlice:
     """slice_rank against symbolic elimination of the whole bracket matrix."""
+
+    @pytest.mark.parametrize("build", _slice_guard_cases())
+    def test_slice_search_matches_the_zeroed_point_check(self, build, monkeypatch):
+        m = bracket_matrix(build())
+        point = _sample(m)
+        t = slice_coordinates(m, point)
+        monkeypatch.setattr(index_module, "_spans_off_slice", _spans_off_slice_zeroed)
+        assert slice_coordinates(m, point) == t
 
     @pytest.mark.parametrize("build", _slice_cases())
     def test_matches_full_elimination(self, build):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from liecp import parabolic
 from liecp.errors import InvalidComposition, UnsupportedType
-from liecp.exactla import QMatrix, RankPolicy, kernel
+from liecp.exactla import DEFAULT_POLICY, QMatrix, RankPolicy, kernel
 from liecp.liealg import Subspace, is_abelian, is_ideal, new_lie_algebra
 from liecp.index import index
 from liecp.cp import is_cp, perp_of
@@ -252,12 +252,18 @@ class TestTable1:
     def test_forced_certification(self, family, rank):
         # every index here is proved: by a sample meeting the term rank, or by
         # elimination on a coadjoint slice
-        policy = RankPolicy(certify=True)
-        rep = table1_check(family, rank, policy)
+        rep = table1_check(family, rank, RankPolicy(certify=True))
         row = table1_row(family, rank)
         assert (rep.dim_n, rep.index_n, rep.index_b) == (row.dim_n, row.index_n, row.index_b)
-        assert rep.row == row and rep.ok
-        assert all(index(algebra, policy).certified for algebra in borel_data_classical(family, rank))
+        assert rep.row == row and rep.ok and rep.certified
+
+    @pytest.mark.parametrize(
+        "family, rank",
+        [(f, r) for f in "ABCD" for r in range(parabolic._RANK_MINS[f], parabolic._RANK_CAPS[f] + 1)],
+    )
+    def test_default_policy_certifies_every_borel(self, family, rank):
+        for algebra in borel_data_classical(family, rank):
+            assert index(algebra, DEFAULT_POLICY).certified
 
     def test_specific_rows(self):
         b3 = table1_row("B", 3)
