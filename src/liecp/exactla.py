@@ -1,12 +1,14 @@
 """Exact rational linear algebra and generic rank.
 
-All arithmetic is exact.  Dense matrices hold `fractions.Fraction` entries,
-and every elimination over Q runs through one fraction-free integer
-echelon routine, `_echelon`: each row is cleared of denominators by their
-lcm and kept primitive (divided by the gcd of its entries).  `rank_exact`
-counts its pivots; `rref` back-substitutes over its pivot rows and divides
-once at the end, and `kernel`, `solve_linear_system` and the subspace
-calculus in `liealg` all go through `rref`.
+All arithmetic is exact.  Every elimination over Q runs through one
+fraction-free integer echelon routine on sparse rows, `_echelon`.  Each
+row, a dense sequence or a {col: value} mapping, is cleared of
+denominators by their lcm into a primitive {col: int} and reduced at its
+lowest column against the pivot row there.  Pivot columns, and so the
+reduced echelon form, depend only on the row space, not on row order.
+`rank_of_rows` counts the pivots; `rref` back-substitutes on the sparse
+rows and densifies once at the end; `kernel_of_rows`, `solve_linear_system`
+and the subspace calculus in `liealg` go through `rref`.
 
 Rank over the field of rational functions in several variables
 (`generic_rank`) takes the first of these routes that settles it.
@@ -45,6 +47,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 VecLike = Sequence["Fraction | int"]
+RowLike = VecLike | Mapping[int, "Fraction | int"]  # a dense row, or its entries by column
+Row = dict[int, int]  # a sparse integer row: nonzero entries by column
 
 
 def as_vector(values: VecLike) -> tuple[Fraction, ...]:
@@ -123,89 +127,103 @@ class QMatrix:
         return QMatrix(self.rows, other.cols, data)
 
 
-def _primitive(row: list[int]) -> list[int] | None:
+def _primitive(row: Row) -> Row | None:
     """row divided by the gcd of its entries, or None for a zero row."""
-    g = gcd(*row)
+    g = gcd(*row.values())
     if g == 0:
         return None
-    return row if g == 1 else [x // g for x in row]
+    return row if g == 1 else {j: x // g for j, x in row.items()}
 
 
-def _eliminate(row: list[int], piv: list[int], c: int) -> list[int] | None:
-    """piv[c] * row - row[c] * piv made primitive: zero in column c."""
-    pc, f = piv[c], row[c]
-    return _primitive([pc * x - f * y for x, y in zip(row, piv)])
+def _int_row(r: RowLike, cols: int) -> Row | None:
+    """r cleared of denominators by their lcm into a primitive {col: int}; columns must lie in range(cols)."""
+    mapping = isinstance(r, Mapping)
+    nonzero = [(j, x) for j, x in (r.items() if mapping else enumerate(r)) if x]
+    outside = any(not 0 <= j < cols for j in r) if mapping else nonzero and nonzero[-1][0] >= cols
+    if outside:
+        raise ValueError(f"row has a column outside range({cols})")
+    den = lcm(*(x.denominator for _, x in nonzero))
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in nonzero})
 
 
-def _echelon(rows: Sequence[VecLike], cols: int) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination over the integers.
+def _eliminate(row: Row, piv: Row, c: int) -> Row | None:
+    """A multiple of row minus a multiple of piv made primitive: zero in column c."""
+    g = gcd(piv[c], row[c])
+    a, b = piv[c] // g, row[c] // g
+    out = row if a == 1 else {j: a * x for j, x in row.items()}
+    for j, y in piv.items():
+        v = out.get(j, 0) - b * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _primitive(out)
 
-    Each row is cleared of denominators by their lcm and kept primitive.
-    The pivot of a column is the first remaining row nonzero there; there
-    are no column swaps.  Returns the echelon rows and their pivot columns.
+
+def _echelon(rows: Iterable[RowLike], cols: int) -> dict[int, Row]:
+    """Fraction-free forward elimination over the integers: {pivot column: pivot row}.
+
+    Each row becomes a primitive {col: int} (`_int_row`) and is reduced at
+    its lowest column against the pivot row there until it vanishes or
+    opens a new pivot; no row is read once every column has a pivot.
     """
-    a = []
+    pivots: dict[int, Row] = {}
     for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        row = _primitive([x.numerator * (den // x.denominator) for x in r])
-        if row is not None:
-            a.append(row)
-    ech: list[list[int]] = []
-    pivots: list[int] = []
-    for c in range(cols):
-        p = next((i for i, row in enumerate(a) if row[c]), None)
-        if p is None:
-            continue
-        piv = a.pop(p)
-        rest = a[:p]
-        for row in a[p:]:
-            if row[c]:
-                row = _eliminate(row, piv, c)
-                if row is None:
-                    continue
-            rest.append(row)
-        a = rest
-        ech.append(piv)
-        pivots.append(c)
-        if not a:
+        row = _int_row(r, cols)
+        while row is not None:
+            c = min(row)
+            if c not in pivots:
+                pivots[c] = row
+                break
+            row = _eliminate(row, pivots[c], c)
+        if len(pivots) == cols:
             break
-    return ech, pivots
+    return pivots
 
 
-def rref(rows: Sequence[VecLike], cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns).
+def rref(rows: Iterable[RowLike], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of rows, dense or {col: value}: (nonzero rows, pivot columns).
 
-    The forward pass of `_echelon`, then integer back-substitution over the
-    pivot rows, then one division per entry by the row's pivot.
+    `_echelon`, then integer back-substitution on its sparse rows, from the
+    last pivot up; each row is densified once at the end, divided by its pivot.
     """
-    ech, pivots = _echelon(rows, cols)
-    for k in range(len(ech) - 1, 0, -1):
+    ech = _echelon(rows, cols)
+    pivots = sorted(ech)
+    red = [ech[c] for c in pivots]
+    for k in range(len(red) - 1, 0, -1):
         for i in range(k):
-            if ech[i][pivots[k]]:
-                ech[i] = _eliminate(ech[i], ech[k], pivots[k])
-    return [[Fraction(x, row[c]) if x else ZERO for x in row] for row, c in zip(ech, pivots)], pivots
+            if pivots[k] in red[i]:
+                red[i] = _eliminate(red[i], red[k], pivots[k])
+    dense = [[ZERO] * cols for _ in red]
+    for out, row, c in zip(dense, red, pivots):
+        for j, x in row.items():
+            out[j] = Fraction(x, row[c])
+    return dense, pivots
+
+
+def rank_of_rows(rows: Iterable[RowLike], cols: int) -> int:
+    """Rank over the rationals of rows, dense or {col: value}: the pivot count of `_echelon`."""
+    return len(_echelon(rows, cols))
 
 
 def rank_exact(m: QMatrix) -> int:
-    """Rank over the rationals: the pivot count of `_echelon`."""
-    return len(_echelon(m.entries, m.cols)[1])
+    """Rank over the rationals of a dense matrix."""
+    return rank_of_rows(m.entries, m.cols)
+
+
+def kernel_of_rows(rows: Iterable[RowLike], cols: int) -> list[tuple[Fraction, ...]]:
+    """Reduced-echelon basis of {v : r . v = 0 for every row r}, rows dense or {col: value}.
+
+    Each free column c gives a null vector, as a mapping: 1 at c, -red[i][c] at red[i]'s pivot."""
+    red, pivots = rref(rows, cols)
+    free = sorted(set(range(cols)).difference(pivots))
+    null = [{c: ONE} | {p: -row[c] for row, p in zip(red, pivots) if row[c]} for c in free]
+    return [tuple(r) for r in rref(null, cols)[0]]
 
 
 def kernel(m: QMatrix) -> list[tuple[Fraction, ...]]:
     """Reduced-echelon basis of the right null space {v : m v = 0}."""
-    red, pivots = rref(m.entries, m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(m.cols):
-        if c in pivot_set:
-            continue
-        v = [ZERO] * m.cols
-        v[c] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][c]
-        basis.append(v)
-    out, _ = rref(basis, m.cols)
-    return [tuple(r) for r in out]
+    return kernel_of_rows(m.entries, m.cols)
 
 
 def solve_linear_system(m: QMatrix, rhs: VecLike) -> tuple[Fraction, ...] | None:
@@ -213,8 +231,7 @@ def solve_linear_system(m: QMatrix, rhs: VecLike) -> tuple[Fraction, ...] | None
     b = as_vector(rhs)
     if len(b) != m.rows:
         raise ValueError("rhs length must equal rows")
-    aug = [list(row) + [b[i]] for i, row in enumerate(m.entries)]
-    red, pivots = rref(aug, m.cols + 1)
+    red, pivots = rref([list(row) + [b[i]] for i, row in enumerate(m.entries)], m.cols + 1)
     if m.cols in pivots:
         return None
     x = [ZERO] * m.cols

@@ -13,6 +13,7 @@ ideal, which is all the soundness downstream no-CP certificates need.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,13 +25,13 @@ from .exactla import (
     LinFormMatrix,
     QMatrix,
     RankPolicy,
+    _echelon,
     _symbolic_rank,
     evaluate,
     generic_rank,
-    kernel,
+    kernel_of_rows,
     random_point,
-    rank_exact,
-    rref,
+    rank_of_rows,
 )
 from .liealg import Functional, LieAlgebra, Subspace, center
 
@@ -51,26 +52,27 @@ def bracket_matrix(L: LieAlgebra) -> LinFormMatrix:
 def _spans_off_slice(m: LinFormMatrix, point: Sequence[Fraction], t: Sequence[int]) -> bool:
     """At point zeroed off t, the rows of m outside t have rank n - |t|.
 
-    Only those rows are evaluated, and only on the coordinates in t.
+    Only those rows are evaluated, as {col: value} rows on the coordinates in t.
     """
     xi0 = {k: point[k] for k in t}
-    outside = tuple(
-        tuple(sum([c * xi0[k] for k, c in form.items() if k in xi0], ZERO) if form else ZERO for form in row)
+    outside = [
+        {j: sum([c * xi0[k] for k, c in form.items() if k in xi0], ZERO) for j, form in enumerate(row) if form}
         for i, row in enumerate(m.entries)
         if i not in xi0
-    )
-    return rank_exact(QMatrix(len(outside), m.cols, outside)) == len(outside)
+    ]
+    return rank_of_rows(outside, m.cols) == len(outside)
 
 
 def slice_coordinates(m: LinFormMatrix, point: Sequence[Fraction]) -> list[int]:
     """Coordinates t of a coadjoint slice for the bracket matrix m, found from one sample.
 
-    Starts from the rows of m(point) that depend on earlier rows, adds
-    coordinates in basis order until `_spans_off_slice` holds, then drops
-    every coordinate whose removal keeps it.  All coordinates always pass.
+    Starts from the rows of m(point) that depend on earlier rows (the
+    non-pivots of `_echelon` on its transpose), adds coordinates in basis
+    order until `_spans_off_slice` holds, then drops every coordinate whose
+    removal keeps it.  All coordinates always pass.
     """
     n = m.rows
-    independent = set(rref(evaluate(m, point).transpose().entries, n)[1])
+    independent = _echelon(evaluate(m, point).transpose().entries, n)
     t = [k for k in range(n) if k not in independent]
     spare = [k for k in range(n) if k in independent]
     while not _spans_off_slice(m, point, t):
@@ -129,20 +131,25 @@ def index(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> IndexReport:
     return L._index_reports[policy]
 
 
-def Bf_matrix(L: LieAlgebra, f: Functional) -> QMatrix:
-    """Alternating form (i, j) -> f([x_i, x_j])."""
+def _bf_rows(L: LieAlgebra, f: Functional) -> list[dict[int, Fraction]]:
+    """Rows of B_f, (i, j) -> f([x_i, x_j]), as {j: value} over the bracketing pairs."""
     if f.ambient_dim != L.dim:
         raise AmbientMismatch("functional dimension differs from the algebra")
-    data = [[ZERO] * L.dim for _ in range(L.dim)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(L.dim)]
     for (i, j), table in L.sc.items():
-        data[i][j] = sum((c * f.coords[k] for k, c in table.items()), ZERO)
-        data[j][i] = -data[i][j]
-    return QMatrix(L.dim, L.dim, tuple(map(tuple, data)))
+        v = sum((c * f.coords[k] for k, c in table.items()), ZERO)
+        rows[i][j], rows[j][i] = v, -v
+    return rows
+
+
+def Bf_matrix(L: LieAlgebra, f: Functional) -> QMatrix:
+    """Alternating form (i, j) -> f([x_i, x_j])."""
+    return QMatrix(L.dim, L.dim, tuple(tuple(row.get(j, ZERO) for j in range(L.dim)) for row in _bf_rows(L, f)))
 
 
 def stabilizer(L: LieAlgebra, f: Functional) -> Subspace:
     """Kernel of B_f; contains the center for every f."""
-    return Subspace(L.dim, tuple(kernel(Bf_matrix(L, f))))
+    return Subspace(L.dim, tuple(kernel_of_rows(_bf_rows(L, f), L.dim)))
 
 
 def is_regular(L: LieAlgebra, f: Functional, policy: RankPolicy = DEFAULT_POLICY) -> bool:
@@ -241,13 +248,13 @@ def _build_invariant_forms(L: LieAlgebra) -> LinFormMatrix:
         for j in range(n):
             # the (i, j, k) row is zero unless [x_i, x_j] or [x_i, x_k] is nonzero
             for k in range(j, n) if ad_i[j] else [k for k in partners if k >= j]:
-                row = [ZERO] * unknowns
+                row = Counter()
                 for p, c in ad_i[j].items():
                     row[_sym_index(n, p, k)] += c
                 for p, c in ad_i[k].items():
                     row[_sym_index(n, j, p)] += c
                 rows.append(row)
-    basis = kernel(QMatrix.from_rows(rows, unknowns))
+    basis = kernel_of_rows(rows, unknowns)
     nvars = len(basis)
 
     def entry(p: int, q: int):

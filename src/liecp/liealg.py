@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .errors import (
     ParseError,
     ZeroVector,
 )
-from .exactla import ONE, ZERO, QMatrix, VecLike, as_vector, format_rat, kernel, rref
+from .exactla import ONE, ZERO, QMatrix, VecLike, as_vector, format_rat, kernel, kernel_of_rows, rref
 
 Vector = tuple[Fraction, ...]
 ScTable = Mapping[int, Fraction]
@@ -310,17 +311,12 @@ def lie_algebra_from_label_table(
 
 def center(L: LieAlgebra) -> Subspace:
     """{z : [z, x_j] = 0 for all j}, via the stacked adjoint constraints."""
-    rows: dict[tuple[int, int], list[Fraction]] = {}
-
-    def row(j: int, k: int) -> list[Fraction]:
-        return rows.setdefault((j, k), _zero_vec(L.dim))
-
+    rows: defaultdict[tuple[int, int], Counter] = defaultdict(Counter)
     for (i, j), table in L.sc.items():
         for k, c in table.items():
-            row(j, k)[i] += c
-            row(i, k)[j] -= c
-    m = QMatrix.from_rows([rows[key] for key in sorted(rows)], L.dim)
-    return Subspace(L.dim, tuple(kernel(m)))
+            rows[j, k][i] += c
+            rows[i, k][j] -= c
+    return Subspace(L.dim, tuple(kernel_of_rows(rows.values(), L.dim)))
 
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:

@@ -11,6 +11,9 @@ import pytest
 
 from liecp.catalog import data_text
 from liecp.cli import build_parser, main
+from liecp.index import invariant_symmetric_forms
+from liecp.liealg import serialize_algebra
+from liecp.parabolic import CompositionA, nilradical_A
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -65,6 +68,15 @@ class TestBasicCommands:
     def test_invariant_form(self, diamond_file, h3_file):
         assert run_json(["invariant-form", diamond_file])[0] == 0
         assert run_json(["invariant-form", h3_file])[0] == 1
+
+    def test_invariant_form_on_the_dim_45_type_a_nilradical(self, tmp_path):
+        # the invariance system here is 10260 rows in 1035 unknowns, almost all zero
+        L, _ = nilradical_A(CompositionA((1,) * 10))
+        assert L.dim == 45 and invariant_symmetric_forms(L).nvars == 45
+        path = tmp_path / "nil_A_1x10.alg"
+        path.write_text(serialize_algebra(L))
+        code, payload = run_json(["invariant-form", str(path)])
+        assert code == 1 and payload["nondegenerate_invariant_form"] is False
 
 
 class TestCPCommands:

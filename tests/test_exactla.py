@@ -18,8 +18,10 @@ from liecp.exactla import (
     evaluate,
     generic_rank,
     kernel,
+    kernel_of_rows,
     random_point,
     rank_exact,
+    rank_of_rows,
     rref,
     solve_linear_system,
     _exact_div,
@@ -179,6 +181,63 @@ class TestRrefReference:
         for _ in range(3):
             b = evaluate(m, random_point(rng, L.dim, 10**6))
             assert rank_exact(b) == sympy_rank(b)
+
+
+@st.composite
+def sparse_and_dense_rows(draw):
+    """(rows as {col: value}, the equal dense rows, cols): zero and repeated rows,
+    rational entries, empty columns, int and Fraction values; a mapping may
+    keep some of its zero entries."""
+    cols = draw(st.integers(0, 6))
+    empty = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols))
+    entry = st.one_of(st.just(0), st.just(F(0)), st.integers(-9, 9), rationals)
+    dense = [
+        [0 if j in empty else x for j, x in enumerate(row)]
+        for row in draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        dense.insert(draw(st.integers(0, len(dense))), list(draw(st.sampled_from(dense))) if dense else [0] * cols)
+    keep_zeros = draw(st.booleans())
+    sparse = [{j: x for j, x in enumerate(row) if x or keep_zeros and j % 2} for row in dense]
+    return sparse, dense, cols
+
+
+def sympy_matrix(rows, cols):
+    return sympy.Matrix(len(rows), cols, [sympy.Rational(x) for row in rows for x in row])
+
+
+class TestSparseRows:
+    """rref, rank and kernel on {col: value} rows equal the same calls on the dense rows, and sympy."""
+
+    @given(sparse_and_dense_rows())
+    @example(([], [], 3))
+    @example(([{}, {}], [[], []], 0))
+    @example(([{0: F(1, 2), 2: 3}, {}, {0: 1, 2: 6}], [[F(1, 2), 0, 3], [0, 0, 0], [1, 0, 6]], 3))
+    def test_matches_dense_and_sympy(self, case):
+        sparse, dense, cols = case
+        red, pivots = rref(sparse, cols)
+        assert (red, pivots) == rref(dense, cols)
+        ref, ref_pivots = sympy_matrix(dense, cols).rref()
+        assert pivots == list(ref_pivots)
+        assert red == [[F(int(x.p), int(x.q)) for x in ref.row(i)] for i in range(len(ref_pivots))]
+        m = QMatrix.from_rows(dense, cols)
+        assert rank_of_rows(sparse, cols) == rank_exact(m) == len(ref_pivots)
+        basis = kernel_of_rows(sparse, cols)
+        assert basis == kernel(m)
+        null = sympy_matrix(dense, cols).nullspace()
+        ref_null = sympy.Matrix.hstack(*null).T.rref()[0].tolist() if null else []
+        assert basis == [tuple(F(int(x.p), int(x.q)) for x in row) for row in ref_null]
+
+    @pytest.mark.parametrize("bad", [{3: 1}, {-1: 1}, {0: 1, 7: F(1, 2)}, {3: 0}])
+    def test_column_outside_the_range_is_rejected(self, bad):
+        rows = [{0: 1, 1: 2}, bad]
+        for call in (rref, rank_of_rows, kernel_of_rows):
+            with pytest.raises(ValueError):
+                call(rows, 3)
+
+    def test_dense_entry_outside_the_range_is_rejected(self):
+        with pytest.raises(ValueError):
+            rref([[1, 0, 0, 5]], 3)
 
 
 # The diamond algebra bracket matrix in dual coordinates (t, x, y, z):

@@ -369,6 +369,93 @@ class TestInvariantFormsReference:
         assert fam.nvars == 10 and fam == _dense_invariant_forms(catalog.get("abelian"))
 
 
+def _dense_build_invariant_forms(L):
+    """The invariance system as dense rows through `kernel`, as `_build_invariant_forms` built it before sparse rows."""
+    from liecp.exactla import LinFormMatrix, kernel
+
+    n = L.dim
+    unknowns = n * (n + 1) // 2
+    rows = []
+    for i in range(n):
+        ad_i = [L.bracket_table(i, j) for j in range(n)]
+        partners = [j for j in range(n) if ad_i[j]]
+        for j in range(n):
+            for k in range(j, n) if ad_i[j] else [k for k in partners if k >= j]:
+                row = [F(0)] * unknowns
+                for p, c in ad_i[j].items():
+                    row[index_module._sym_index(n, p, k)] += c
+                for p, c in ad_i[k].items():
+                    row[index_module._sym_index(n, j, p)] += c
+                rows.append(row)
+    basis = kernel(QMatrix.from_rows(rows, unknowns))
+    nvars = len(basis)
+
+    def entry(p, q):
+        s = index_module._sym_index(n, p, q)
+        return {m: basis[m][s] for m in range(nvars) if basis[m][s]}
+
+    return LinFormMatrix.build(n, n, nvars, entry)
+
+
+def _dense_center(L):
+    """The stacked adjoint constraints as dense rows through `kernel`, as `center` built them before sparse rows."""
+    from liecp.exactla import kernel
+
+    rows = {}
+
+    def row(j, k):
+        return rows.setdefault((j, k), [F(0)] * L.dim)
+
+    for (i, j), table in L.sc.items():
+        for k, c in table.items():
+            row(j, k)[i] += c
+            row(i, k)[j] -= c
+    m = QMatrix.from_rows([rows[key] for key in sorted(rows)], L.dim)
+    return Subspace(L.dim, tuple(kernel(m)))
+
+
+def _dense_stabilizer(L, f):
+    """The kernel of B_f built densely, as `stabilizer` computed it before sparse rows."""
+    from liecp.exactla import kernel
+
+    data = [[F(0)] * L.dim for _ in range(L.dim)]
+    for (i, j), table in L.sc.items():
+        data[i][j] = sum((c * f.coords[k] for k, c in table.items()), F(0))
+        data[j][i] = -data[i][j]
+    bf = QMatrix(L.dim, L.dim, tuple(map(tuple, data)))
+    assert Bf_matrix(L, f) == bf
+    return Subspace(L.dim, tuple(kernel(bf)))
+
+
+def _builder_cases():
+    cases = [pytest.param(lambda name=name: catalog.get(name), id=name) for name in catalog.names()]
+    return cases + [
+        pytest.param(lambda f=f, r=r: borel_data_classical(f, r)[0], id=f"{f}{r} nilradical")
+        for f, r in (("B", 3), ("B", 4), ("D", 4))
+    ]
+
+
+class TestSparseBuildersMatchDense:
+    """The sparse-row builders give what the dense-row builders gave."""
+
+    @pytest.mark.parametrize("build", _builder_cases())
+    def test_invariant_forms(self, build):
+        L = build()
+        assert index_module._build_invariant_forms(L) == _dense_build_invariant_forms(L)
+
+    @pytest.mark.parametrize("build", _builder_cases())
+    def test_center(self, build):
+        L = build()
+        assert center(L) == _dense_center(L)
+
+    @pytest.mark.parametrize("build", _builder_cases())
+    def test_stabilizer_of_a_regular_functional(self, build):
+        L = build()
+        f = sample_regular(L, P)
+        assert stabilizer(L, f) == _dense_stabilizer(L, f)
+        assert stabilizer(L, f).dim == index(L, P).index
+
+
 class TestPredicates:
     def test_morozov4_square_integrable(self):
         assert is_square_integrable(morozov4(), P)
