@@ -147,7 +147,7 @@ def _int_row(r: RowLike, cols: int) -> Row | None:
 
 
 def _eliminate(row: Row, piv: Row, c: int) -> Row | None:
-    """A multiple of row minus a multiple of piv made primitive: zero in column c."""
+    """A multiple of row minus a multiple of piv made primitive: zero in column c.  May reuse row's dict."""
     g = gcd(piv[c], row[c])
     a, b = piv[c] // g, row[c] // g
     out = row if a == 1 else {j: a * x for j, x in row.items()}
