@@ -16,6 +16,8 @@ from typing import Sequence
 from .errors import NoUnit, NotCommutativeIdeal
 from .exactla import (
     DEFAULT_POLICY,
+    ONE,
+    ZERO,
     LinFormMatrix,
     QMatrix,
     RankPolicy,
@@ -53,9 +55,7 @@ def _all_equal(conditions: dict[str, bool]) -> bool:
 
 
 def _module_subspace(L: LieAlgebra, dim_g: int) -> Subspace:
-    return Subspace.span(
-        L.dim, [L.basis_vector(dim_g + j) for j in range(L.dim - dim_g)]
-    )
+    return Subspace.span(L.dim, [{k: ONE} for k in range(dim_g, L.dim)])
 
 
 def _action_form_matrix(action: Sequence[QMatrix], dim_g: int, dim_v: int) -> LinFormMatrix:
@@ -202,13 +202,12 @@ def abelianization_semidirect_check(
     if not (is_ideal(L, v) and is_abelian(L, v)):
         raise NotCommutativeIdeal("V must be a commutative ideal")
     q, qmap = quotient(L, v)
-    action = []
-    for c in qmap.complement:
-        cols = [v.coordinates_of(L.bracket(L.basis_vector(c), row)) for row in v.basis]
-        assert all(col is not None for col in cols)
-        action.append(
-            QMatrix(v.dim, v.dim, tuple(tuple(cols[b][a] for b in range(v.dim)) for a in range(v.dim)))
-        )
+    # [x_c, h] = -[h, x_c] lies in V, so its coordinates are its pivot coordinates
+    ad_rows = [L.ad_columns(row) for row in v.rows]
+    action = [
+        QMatrix(v.dim, v.dim, tuple(tuple(-ad[c].get(p, ZERO) for ad in ad_rows) for p in v.pivots))
+        for c in qmap.complement
+    ]
     flat_labels = tuple(f"w{j + 1}" for j in range(v.dim))
     L1 = semidirect_product(q, action, v.dim, v_labels=flat_labels)
     v1 = _module_subspace(L1, q.dim)

@@ -49,23 +49,24 @@ from .errors import (
 from .exactla import (
     DEFAULT_POLICY,
     ZERO,
+    ONE,
     LinFormMatrix,
-    QMatrix,
     RankPolicy,
     evaluate,
     generic_rank,
-    kernel,
+    kernel_of_rows,
     random_point,
     rank_exact,
 )
 from .index import (
-    Bf_matrix,
+    _bf_rows,
     frobenius_semiradical,
     index,
     invariant_symmetric_forms,
     stabilizer,
 )
 from .liealg import (
+    _accumulate,
     Functional,
     LieAlgebra,
     Subspace,
@@ -128,15 +129,7 @@ class CPReport:
 
 def pairing_matrix(L: LieAlgebra, p: Subspace) -> LinFormMatrix:
     """dim P x dim L matrix of linear forms expanding [h_i, x_j] in dual coordinates."""
-    def entry(r: int, j: int) -> dict[int, Fraction]:
-        form: dict[int, Fraction] = {}
-        for a, coeff in enumerate(p.basis[r]):
-            if coeff:
-                for k, c in L.bracket_table(a, j).items():
-                    form[k] = form.get(k, ZERO) + coeff * c
-        return form  # build drops the coefficients that cancelled to zero
-
-    return LinFormMatrix.build(p.dim, L.dim, L.dim, entry)
+    return LinFormMatrix(p.dim, L.dim, L.dim, tuple(tuple(L.ad_columns(row)) for row in p.rows))
 
 
 def is_cp(L: LieAlgebra, p: Subspace, policy: RankPolicy = DEFAULT_POLICY) -> CPReport:
@@ -182,8 +175,15 @@ def perp_of(L: LieAlgebra, p: Subspace, f: Functional) -> Subspace:
     """
     if p.ambient_dim != L.dim:
         raise AmbientMismatch("subspace ambient dimension differs from the algebra")
-    bf = Bf_matrix(L, f)
-    return Subspace(L.dim, tuple(kernel(QMatrix.from_rows([bf.mul_vector(h) for h in p.basis], L.dim))))
+    bf = _bf_rows(L, f)
+    rows = []
+    for h in p.rows:
+        # the row h^T B_f = -(B_f h)^T, a combination of the rows of B_f
+        row: dict[int, Fraction] = {}
+        for a, x in h.items():
+            _accumulate(row, bf[a], x)
+        rows.append(row)
+    return Subspace(L.dim, tuple(kernel_of_rows(rows, L.dim, sparse=True)))
 
 
 def cp_witness_functional(
@@ -227,13 +227,10 @@ class NoCPCertificate:
 
 def _fsr_certificate(L: LieAlgebra, policy: RankPolicy) -> NoCPCertificate | None:
     rep = frobenius_semiradical(L, policy)
-    rows = rep.subspace.basis
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            if any(c != 0 for c in L.bracket(rows[a], rows[b])):
-                return NoCPCertificate(
-                    FSR_KIND, pair=(rows[a], rows[b]), functionals=rep.functionals
-                )
+    for (a, u), (b, v) in itertools.combinations(enumerate(rep.subspace.rows), 2):
+        if L.sparse_bracket(u, v):
+            basis = rep.subspace.basis
+            return NoCPCertificate(FSR_KIND, pair=(basis[a], basis[b]), functionals=rep.functionals)
     return None
 
 
@@ -353,19 +350,17 @@ def search_cp(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> Subspace | 
     must_contain = frobenius_semiradical(L, policy).subspace + center(L)
     if must_contain.dim > d:
         return None
-    support = {j for row in must_contain.basis for j, x in enumerate(row) if x != 0}
+    support = {j for row in must_contain.rows for j in row}
     first = next(_commuting_sets(L, d, support), None)
     if first is not None:
-        return Subspace(L.dim, tuple(L.basis_vector(i) for i in first))
+        return Subspace(L.dim, tuple({i: ONE} for i in first))
     for subset in _commuting_sets(L, d - 1, support, 2):
         rest = [i for i in range(L.dim) if i not in subset]
         for i, j in itertools.combinations(rest, 2):
             if not support <= {*subset, i, j}:
                 continue
             for q in _COMBO_COEFFS:
-                extra = [ZERO] * L.dim
-                extra[i], extra[j] = Fraction(1), q
-                candidate = Subspace.span(L.dim, [L.basis_vector(s) for s in subset] + [tuple(extra)])
+                candidate = Subspace.span(L.dim, [{s: ONE} for s in subset] + [{i: ONE, j: q}])
                 if candidate.contains_subspace(must_contain) and is_abelian(L, candidate):
                     return candidate
     return None
@@ -375,7 +370,7 @@ def max_abelian_coordinate_ideal(L: LieAlgebra) -> tuple[int, Subspace]:
     """Largest coordinate-span abelian ideal; a lower bound for the true maximum."""
     for size in range(L.dim, 0, -1):
         for subset in _commuting_sets(L, size):
-            candidate = Subspace(L.dim, tuple(L.basis_vector(i) for i in subset))
+            candidate = Subspace(L.dim, tuple({i: ONE} for i in subset))
             if is_ideal(L, candidate):
                 return size, candidate
     return 0, Subspace.zero(L.dim)
@@ -458,7 +453,7 @@ def quotient_cp_check(
         raise NotAnIdeal("A must be an ideal of L")
     if p is not None and not p.contains_subspace(a):
         raise NotContained("A must be contained in P")
-    if any(f(row) != 0 for row in a.basis):
+    if any(f(row) != 0 for row in a.rows):
         raise FunctionalNotVanishing("f must vanish on A")
     idx = index(L, policy)
     if stabilizer(L, f).dim != idx.index:
@@ -564,7 +559,7 @@ def centralizer_codim1_check(
             inner = p
         else:
             inner = p.intersection(m) + Subspace.span(L.dim, [u])
-        coords = [m.coordinates_of(row) for row in inner.basis]
+        coords = [m.coordinates_of(row) for row in inner.rows]
         if all(c is not None for c in coords):
             transferred = Subspace.span(m.dim, coords)
             transferred_ok = is_cp(m_alg, transferred, policy).is_cp
@@ -597,7 +592,7 @@ def subalgebra_cp_transfer(
     if not is_subalgebra(L, m):
         raise NotASubalgebra("M must be a subalgebra")
     m_alg = restrict(L, m)
-    coords = [m.coordinates_of(row) for row in p.basis]
+    coords = [m.coordinates_of(row) for row in p.rows]
     if any(c is None for c in coords):
         raise NotContained("P must be contained in M")
     p_in_m = Subspace.span(m.dim, coords)

@@ -7,8 +7,8 @@ denominators by their lcm into a primitive {col: int} and reduced at its
 lowest column against the pivot row there.  Pivot columns, and so the
 reduced echelon form, depend only on the row space, not on row order.
 `rank_of_rows` counts the pivots; `rref` back-substitutes on the sparse
-rows and densifies once at the end; `kernel_of_rows`, `solve_linear_system`
-and the subspace calculus in `liealg` go through `rref`.
+rows and returns them sparse or dense; `kernel_of_rows`, `solve_linear_system`
+and the subspace calculus in `liealg`, which keeps them sparse, use `rref`.
 
 Rank over the field of rational functions in several variables
 (`generic_rank`) takes the first of these routes that settles it.
@@ -181,12 +181,11 @@ def _echelon(rows: Iterable[RowLike], cols: int) -> dict[int, Row]:
     return pivots
 
 
-def rref(rows: Iterable[RowLike], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: Iterable[RowLike], cols: int, sparse: bool = False) -> tuple[list, list[int]]:
     """Reduced row echelon form of rows, dense or {col: value}: (nonzero rows, pivot columns).
 
-    `_echelon`, then integer back-substitution on its sparse rows, from the
-    last pivot up; each row is densified once at the end, divided by its pivot.
-    """
+    `_echelon`, then integer back-substitution on its sparse rows, from the last pivot up;
+    each row is divided by its pivot, and is a {col: Fraction} mapping when `sparse`."""
     ech = _echelon(rows, cols)
     pivots = sorted(ech)
     red = [ech[c] for c in pivots]
@@ -194,11 +193,8 @@ def rref(rows: Iterable[RowLike], cols: int) -> tuple[list[list[Fraction]], list
         for i in range(k):
             if pivots[k] in red[i]:
                 red[i] = _eliminate(red[i], red[k], pivots[k])
-    dense = [[ZERO] * cols for _ in red]
-    for out, row, c in zip(dense, red, pivots):
-        for j, x in row.items():
-            out[j] = Fraction(x, row[c])
-    return dense, pivots
+    out = [{j: Fraction(x, row[c]) for j, x in row.items()} for row, c in zip(red, pivots)]
+    return (out if sparse else [[row.get(j, ZERO) for j in range(cols)] for row in out]), pivots
 
 
 def rank_of_rows(rows: Iterable[RowLike], cols: int) -> int:
@@ -211,14 +207,16 @@ def rank_exact(m: QMatrix) -> int:
     return rank_of_rows(m.entries, m.cols)
 
 
-def kernel_of_rows(rows: Iterable[RowLike], cols: int) -> list[tuple[Fraction, ...]]:
+def kernel_of_rows(rows: Iterable[RowLike], cols: int, sparse: bool = False) -> list:
     """Reduced-echelon basis of {v : r . v = 0 for every row r}, rows dense or {col: value}.
 
-    Each free column c gives a null vector, as a mapping: 1 at c, -red[i][c] at red[i]'s pivot."""
-    red, pivots = rref(rows, cols)
+    Each free column c gives a null vector, as a mapping: 1 at c, -red[i][c] at red[i]'s pivot.
+    The basis vectors come as {col: Fraction} mappings when `sparse`, dense tuples otherwise."""
+    red, pivots = rref(rows, cols, sparse=True)
     free = sorted(set(range(cols)).difference(pivots))
-    null = [{c: ONE} | {p: -row[c] for row, p in zip(red, pivots) if row[c]} for c in free]
-    return [tuple(r) for r in rref(null, cols)[0]]
+    null = [{c: ONE} | {p: -row[c] for row, p in zip(red, pivots) if c in row} for c in free]
+    basis, _ = rref(null, cols, sparse)
+    return basis if sparse else [tuple(r) for r in basis]
 
 
 def kernel(m: QMatrix) -> list[tuple[Fraction, ...]]:

@@ -149,7 +149,7 @@ def Bf_matrix(L: LieAlgebra, f: Functional) -> QMatrix:
 
 def stabilizer(L: LieAlgebra, f: Functional) -> Subspace:
     """Kernel of B_f; contains the center for every f."""
-    return Subspace(L.dim, tuple(kernel_of_rows(_bf_rows(L, f), L.dim)))
+    return Subspace(L.dim, tuple(kernel_of_rows(_bf_rows(L, f), L.dim, sparse=True)))
 
 
 def is_regular(L: LieAlgebra, f: Functional, policy: RankPolicy = DEFAULT_POLICY) -> bool:

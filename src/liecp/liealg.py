@@ -1,12 +1,13 @@
 """Lie algebra data model, subspace calculus, constructors, and file format.
 
 Structure constants are stored sparsely, one table per basis pair (i, j)
-with i < j; antisymmetry is implicit.  The bracket iterates the nonzero
-coordinates of its arguments and looks up only those pairs.  Every
-constructor re-validates the Jacobi identity exactly, accumulating the
-defect sparsely over the basis triples that contain a bracketing pair (any
-other triple has zero defect).  Subspaces are kept in reduced row echelon
-form so that subspace equality is tuple equality.
+with i < j; antisymmetry is implicit.  The subspace calculus works on
+sparse {index: Fraction} rows: `LieAlgebra.sparse_bracket` looks up only the
+pairs of nonzero coordinates, and a `Subspace` keeps the unique reduced
+echelon rows of `rref`, so equal subspaces have equal rows; dense tuples
+appear only at the API boundary (`bracket`, `basis`, `residual`).  Every
+constructor re-validates the Jacobi identity exactly, over the basis triples
+that contain a bracketing pair (any other triple has zero defect).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -35,21 +37,30 @@ from .errors import (
     ParseError,
     ZeroVector,
 )
-from .exactla import ONE, ZERO, QMatrix, VecLike, as_vector, format_rat, kernel, kernel_of_rows, rref
+from .exactla import ONE, ZERO, QMatrix, RowLike, VecLike, as_vector, format_rat, kernel_of_rows, rref
 
 Vector = tuple[Fraction, ...]
+SparseVector = dict[int, Fraction]  # nonzero coordinates by basis index
 ScTable = Mapping[int, Fraction]
 
 
-def _zero_vec(n: int) -> list[Fraction]:
-    return [ZERO] * n
+def _sparse_vector(v: RowLike, n: int) -> SparseVector:
+    """v, dense or {col: value}, as {col: Fraction} without zeros; AmbientMismatch unless v lies in Q^n."""
+    mapping = isinstance(v, Mapping)
+    if any(not 0 <= j < n for j in v) if mapping else len(v) != n:
+        raise AmbientMismatch("vector coordinates must lie in range(ambient_dim)")
+    return {j: x if type(x) is Fraction else Fraction(x) for j, x in (v.items() if mapping else enumerate(v)) if x}
 
 
-def _add_scaled(acc: list[Fraction], table: ScTable, coeff: Fraction) -> None:
-    if not coeff:
-        return
-    for k, c in table.items():
-        acc[k] += coeff * c
+def _accumulate(acc: SparseVector, v: Mapping[int, Fraction], coeff: Fraction) -> None:
+    """acc += coeff * v, sparse; entries that cancel stay in acc as zeros."""
+    for k, c in v.items():
+        x = coeff * c
+        acc[k] = acc[k] + x if k in acc else x
+
+
+def _dense(v: Mapping[int, Fraction], n: int) -> Vector:
+    return tuple(v.get(j, ZERO) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -59,18 +70,26 @@ def _add_scaled(acc: list[Fraction], table: ScTable, coeff: Fraction) -> None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^n given by a reduced-echelon spanning matrix."""
+    """Subspace of Q^n given by its reduced echelon rows as {col: Fraction}, in pivot order.
+
+    Each row is 1 at its pivot (its lowest column) and 0 at the other pivots.
+    Rows given dense are stored sparse; `basis` is the dense view, for output.
+    """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple[SparseVector, ...]
+
+    def __post_init__(self):
+        n = self.ambient_dim
+        object.__setattr__(self, "rows", tuple(r if type(r) is dict else _sparse_vector(r, n) for r in self.rows))
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, tuple(tuple(sorted(r.items())) for r in self.rows)))
 
     @staticmethod
-    def span(ambient_dim: int, vectors: Iterable[VecLike]) -> Subspace:
-        rows = list(vectors)
-        if any(len(v) != ambient_dim for v in rows):
-            raise AmbientMismatch("vector length must equal ambient_dim")
-        red, _ = rref(rows, ambient_dim)
-        return Subspace(ambient_dim, tuple(tuple(r) for r in red))
+    def span(ambient_dim: int, vectors: Iterable[RowLike]) -> Subspace:
+        rows = [_sparse_vector(v, ambient_dim) for v in vectors]
+        return Subspace(ambient_dim, tuple(rref(rows, ambient_dim, sparse=True)[0]))
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
@@ -78,70 +97,78 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> Subspace:
-        return Subspace.span(ambient_dim, [_unit(ambient_dim, i) for i in range(ambient_dim)])
+        return Subspace(ambient_dim, tuple({i: ONE} for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
+
+    @cached_property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple(_dense(r, self.ambient_dim) for r in self.rows)
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x != 0) for row in self.basis)
+        return tuple(min(r) for r in self.rows)
 
-    def residual(self, v: VecLike) -> Vector:
+    @cached_property
+    def _by_pivot(self) -> dict[int, SparseVector]:
+        return dict(zip(self.pivots, self.rows))
+
+    def _reduce(self, w: SparseVector) -> SparseVector:
+        """w minus its projection through the echelon rows, without zeros; consumes w.
+
+        Each row is 0 at the other pivots, so clearing w at one pivot leaves the others."""
+        for p in [p for p in w if p in self._by_pivot]:
+            c = w.pop(p)
+            for j, x in self._by_pivot[p].items():
+                if j != p:
+                    w[j] = w.get(j, ZERO) - c * x
+        return {j: x for j, x in w.items() if x}
+
+    def residual(self, v: RowLike) -> Vector:
         """v minus its projection through the echelon rows (pivot elimination)."""
-        w = list(as_vector(v))
-        if len(w) != self.ambient_dim:
-            raise AmbientMismatch("vector length must equal ambient_dim")
-        for row, p in zip(self.basis, self.pivots):
-            c = w[p]
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        w[j] -= c * x
-        return tuple(w)
+        return _dense(self._reduce(_sparse_vector(v, self.ambient_dim)), self.ambient_dim)
 
-    def contains(self, v: VecLike) -> bool:
-        return all(x == 0 for x in self.residual(v))
+    def contains(self, v: RowLike) -> bool:
+        return not self._reduce(_sparse_vector(v, self.ambient_dim))
 
-    def coordinates_of(self, v: VecLike) -> Vector | None:
+    def coordinates_of(self, v: RowLike) -> Vector | None:
         """Coefficients c with v = sum c_i basis_i, or None if v is outside.
 
         The pivot columns of the reduced echelon rows are unit vectors, so the
         coefficients are v's pivot coordinates."""
-        w = as_vector(v)
-        return tuple(w[p] for p in self.pivots) if self.contains(w) else None
+        w = _sparse_vector(v, self.ambient_dim)
+        coords = tuple(w.get(p, ZERO) for p in self.pivots)
+        return None if self._reduce(w) else coords
 
     def contains_subspace(self, other: Subspace) -> bool:
-        return all(self.contains(row) for row in other.basis)
+        if self.ambient_dim != other.ambient_dim:
+            raise AmbientMismatch("ambient dimensions differ")
+        return not any(self._reduce(dict(row)) for row in other.rows)
 
     def __add__(self, other: Subspace) -> Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("ambient dimensions differ")
-        return Subspace.span(self.ambient_dim, list(self.basis) + list(other.basis))
+        return Subspace.span(self.ambient_dim, self.rows + other.rows)
 
     def intersection(self, other: Subspace) -> Subspace:
-        """Intersection via the kernel of [P^T | -M^T]."""
+        """The combinations sum a_i row_i whose residual modulo other vanishes: a kernel in the a_i."""
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch("ambient dimensions differ")
-        p, m = self.dim, other.dim
-        if p == 0 or m == 0:
-            return Subspace.zero(self.ambient_dim)
-        cols = list(zip(*self.basis))
-        rows = [col + tuple(-x for x in other_col) for col, other_col in zip(cols, zip(*other.basis))]
-        solutions = kernel(QMatrix.from_rows(rows, p + m))
-        vectors = [[sum((a * b for a, b in zip(col, sol)), ZERO) for col in cols] for sol in solutions]
+        residuals = [other._reduce(dict(row)) for row in self.rows]
+        equations = [{i: r[j] for i, r in enumerate(residuals) if j in r} for j in range(self.ambient_dim)]
+        vectors = []
+        for sol in kernel_of_rows(equations, self.dim, sparse=True):
+            acc: SparseVector = {}
+            for i, a in sol.items():
+                _accumulate(acc, self.rows[i], a)
+            vectors.append(acc)
         return Subspace.span(self.ambient_dim, vectors)
-
-
-def _unit(n: int, i: int) -> list[Fraction]:
-    v = _zero_vec(n)
-    v[i] = ONE
-    return v
 
 
 @dataclass(frozen=True)
@@ -160,11 +187,8 @@ class Functional:
         v = as_vector(coords)
         return Functional(len(v), v)
 
-    def __call__(self, v: VecLike) -> Fraction:
-        vv = as_vector(v)
-        if len(vv) != self.ambient_dim:
-            raise AmbientMismatch("vector length must equal ambient_dim")
-        return sum((a * b for a, b in zip(self.coords, vv) if a and b), ZERO)
+    def __call__(self, v: RowLike) -> Fraction:
+        return sum((self.coords[j] * x for j, x in _sparse_vector(v, self.ambient_dim).items()), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +214,36 @@ class LieAlgebra:
             return dict(self.sc.get((i, j), {}))
         return {k: -c for k, c in self.sc.get((j, i), {}).items()}
 
+    def sparse_bracket(self, u: Mapping[int, Fraction], v: Mapping[int, Fraction]) -> SparseVector:
+        """[u, v] for vectors given as {k: c}, as {k: c} without zeros; reads `sc` only at their pairs."""
+        sc, acc = self.sc, {}
+        for i, x in u.items():
+            for j, y in v.items():
+                table = sc.get((i, j)) if i < j else sc.get((j, i))
+                if table:
+                    _accumulate(acc, table, x * y if i < j else -x * y)
+        return {k: c for k, c in acc.items() if c}
+
     def bracket(self, u: VecLike, v: VecLike) -> Vector:
-        uu, vv = as_vector(u), as_vector(v)
-        if len(uu) != self.dim or len(vv) != self.dim:
-            raise AmbientMismatch("vectors must have length dim")
-        acc = _zero_vec(self.dim)
-        nonzero_v = [(j, y) for j, y in enumerate(vv) if y]
-        for i, x in enumerate(uu):
-            if x:
-                for j, y in nonzero_v:
-                    table = self.sc.get((i, j) if i < j else (j, i))
-                    if table:
-                        _add_scaled(acc, table, x * y if i < j else -x * y)
-        return tuple(acc)
+        return _dense(self.sparse_bracket(_sparse_vector(u, self.dim), _sparse_vector(v, self.dim)), self.dim)
+
+    def ad_columns(self, h: Mapping[int, Fraction]) -> list[SparseVector]:
+        """[h, x_j] for every basis index j, as {k: c} without zeros: the columns of ad h."""
+        sc, cols = self.sc, [{} for _ in range(self.dim)]
+        for a, x in h.items():
+            for j in range(self.dim):
+                table = sc.get((a, j)) if a < j else sc.get((j, a))
+                if table:
+                    _accumulate(cols[j], table, x if a < j else -x)
+        return [{k: c for k, c in col.items() if c} for col in cols]
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(_unit(self.dim, i))
+        return _dense({i: ONE}, self.dim)
 
     def ad(self, v: VecLike) -> QMatrix:
         """Matrix of w -> [v, w] in the basis (columns are [v, x_j])."""
-        cols = tuple(self.bracket(v, self.basis_vector(j)) for j in range(self.dim))
-        return QMatrix(self.dim, self.dim, cols).transpose()
+        cols = self.ad_columns(_sparse_vector(v, self.dim))
+        return QMatrix(self.dim, self.dim, tuple(_dense(c, self.dim) for c in cols)).transpose()
 
     def subspace(self, vectors: Iterable[VecLike]) -> Subspace:
         return Subspace.span(self.dim, vectors)
@@ -316,43 +349,34 @@ def center(L: LieAlgebra) -> Subspace:
         for k, c in table.items():
             rows[j, k][i] += c
             rows[i, k][j] -= c
-    return Subspace(L.dim, tuple(kernel_of_rows(rows.values(), L.dim)))
+    return Subspace(L.dim, tuple(kernel_of_rows(rows.values(), L.dim, sparse=True)))
 
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    return Subspace.span(L.dim, [[table.get(k, ZERO) for k in range(L.dim)] for table in L.sc.values()])
+    return Subspace.span(L.dim, L.sc.values())
 
 
 def centralizer(L: LieAlgebra, u: VecLike) -> Subspace:
-    """Kernel of v -> [v, u], which is the kernel of ad u."""
-    return Subspace(L.dim, tuple(kernel(L.ad(u))))
+    """Kernel of v -> [v, u], which is the kernel of ad u: row k of ad u is {j: [u, x_j]_k}."""
+    cols = L.ad_columns(_sparse_vector(u, L.dim))
+    rows = [{j: col[k] for j, col in enumerate(cols) if k in col} for k in range(L.dim)]
+    return Subspace(L.dim, tuple(kernel_of_rows(rows, L.dim, sparse=True)))
 
 
 def is_abelian(L: LieAlgebra, s: Subspace) -> bool:
     _check_ambient(L, s)
-    rows = s.basis
-    return all(
-        all(x == 0 for x in L.bracket(rows[a], rows[b]))
-        for a in range(len(rows))
-        for b in range(a + 1, len(rows))
-    )
+    return not any(L.sparse_bracket(u, v) for u, v in combinations(s.rows, 2))
 
 
 def is_subalgebra(L: LieAlgebra, s: Subspace) -> bool:
     _check_ambient(L, s)
-    rows = s.basis
-    return all(
-        s.contains(L.bracket(rows[a], rows[b]))
-        for a in range(len(rows))
-        for b in range(a + 1, len(rows))
-    )
+    return not any(s._reduce(L.sparse_bracket(u, v)) for u, v in combinations(s.rows, 2))
 
 
 def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
+    """[h, x_i] lies in s for every echelon row h and basis index i (`ad_columns`)."""
     _check_ambient(L, s)
-    return all(
-        s.contains(L.bracket(L.basis_vector(i), row)) for i in range(L.dim) for row in s.basis
-    )
+    return not any(s._reduce(col) for row in s.rows for col in L.ad_columns(row))
 
 
 def _check_ambient(L: LieAlgebra, s: Subspace) -> None:
@@ -372,12 +396,16 @@ class QuotientMap:
     ideal: Subspace
     complement: tuple[int, ...]
 
+    def _project(self, w: SparseVector) -> SparseVector:
+        """The residual of w (reduced in place) in the quotient's coordinates."""
+        position = {c: k for k, c in enumerate(self.complement)}
+        return {position[c]: x for c, x in sorted(self.ideal._reduce(w).items())}
+
     def project_vector(self, v: VecLike) -> Vector:
-        reduced = self.ideal.residual(v)
-        return tuple(reduced[c] for c in self.complement)
+        return _dense(self._project(_sparse_vector(v, self.ideal.ambient_dim)), len(self.complement))
 
     def project_subspace(self, s: Subspace) -> Subspace:
-        return Subspace.span(len(self.complement), [self.project_vector(row) for row in s.basis])
+        return Subspace.span(len(self.complement), [self._project(dict(row)) for row in s.rows])
 
 
 def quotient(L: LieAlgebra, a: Subspace) -> tuple[LieAlgebra, QuotientMap]:
@@ -391,8 +419,9 @@ def quotient(L: LieAlgebra, a: Subspace) -> tuple[LieAlgebra, QuotientMap]:
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for ai in range(len(complement)):
         for bj in range(ai + 1, len(complement)):
-            w = L.bracket(L.basis_vector(complement[ai]), L.basis_vector(complement[bj]))
-            brackets[(ai, bj)] = dict(enumerate(qmap.project_vector(w)))
+            table = L.sc.get((complement[ai], complement[bj]))
+            if table:
+                brackets[(ai, bj)] = qmap._project(dict(table))
     return new_lie_algebra(len(complement), labels, brackets), qmap
 
 
@@ -402,14 +431,12 @@ def restrict(L: LieAlgebra, s: Subspace, labels: Sequence[str] | None = None) ->
         raise NotASubalgebra("restriction requires a subalgebra")
     if labels is None:
         labels = tuple(L.labels[p] for p in s.pivots)
-    rows = s.basis
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(len(rows)):
-        for b in range(a + 1, len(rows)):
-            coords = s.coordinates_of(L.bracket(rows[a], rows[b]))
-            assert coords is not None
-            brackets[(a, b)] = dict(enumerate(coords))
-    return new_lie_algebra(len(rows), tuple(labels), brackets)
+    for (a, u), (b, v) in combinations(enumerate(s.rows), 2):
+        # the bracket lies in s, so its coordinates are its pivot coordinates
+        w = L.sparse_bracket(u, v)
+        brackets[(a, b)] = {k: w[p] for k, p in enumerate(s.pivots) if p in w}
+    return new_lie_algebra(s.dim, tuple(labels), brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +570,16 @@ class ProductAlgebra:
 
     def product(self, u: VecLike, v: VecLike) -> Vector:
         uu, vv = as_vector(u), as_vector(v)
-        acc = _zero_vec(self.dim)
+        acc = [ZERO] * self.dim
         for (i, j), table in self.sc.items():
-            _add_scaled(acc, table, uu[i] * vv[j])
+            coeff = uu[i] * vv[j]
+            if coeff:
+                for k, c in table.items():
+                    acc[k] += coeff * c
         return tuple(acc)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(_unit(self.dim, i))
+        return _dense({i: ONE}, self.dim)
 
 
 # one type for both kinds; only their validating constructors differ
@@ -813,7 +843,7 @@ _TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?([A-Za-z_][A-Za-
 def parse_vector_expr(L: LieAlgebra, expr: str) -> Vector:
     """Rational combination of basis labels, e.g. "a-b" or "x+1/2*y"."""
     pos = 0
-    acc = _zero_vec(L.dim)
+    acc = [ZERO] * L.dim
     seen = False
     while pos < len(expr):
         m = _TERM_RE.match(expr, pos)

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InvalidComposition, UnsupportedType
-from .exactla import DEFAULT_POLICY, ONE, ZERO, QMatrix, RankPolicy, kernel
+from .exactla import DEFAULT_POLICY, ONE, ZERO, RankPolicy, kernel_of_rows
 from .cp import CPReport, is_cp, perp_of
 from .index import index, stabilizer
 from .liealg import (
@@ -625,14 +625,14 @@ def principal_nilpotent_normalizer(
     x = [ONE if j == i + 1 else ZERO for i, j in off] + [ZERO] * (n - 1)
     cx = centralizer(sl, x)
     rows = []
-    for c in cx.basis:
-        # y normalizes cx iff [y, c] has no component off cx for every c
-        cols = [cx.residual(sl.bracket(sl.basis_vector(a), c)) for a in range(sl.dim)]
-        rows += [[col[k] for col in cols] for k in range(sl.dim)]
-    normalizer = Subspace(sl.dim, tuple(kernel(QMatrix.from_rows(rows, sl.dim))))
+    for c in cx.rows:
+        # y normalizes cx iff [y, c] = -[c, y] has no component off cx for every c
+        off_cx = [cx._reduce(col) for col in sl.ad_columns(c)]
+        rows += [{a: col[k] for a, col in enumerate(off_cx) if k in col} for k in range(sl.dim)]
+    normalizer = Subspace(sl.dim, tuple(kernel_of_rows(rows, sl.dim, sparse=True)))
     f_alg = restrict(sl, normalizer, labels=[f"y{k + 1}" for k in range(normalizer.dim)])
 
-    cx_coords = [normalizer.coordinates_of(row) for row in cx.basis]
+    cx_coords = [normalizer.coordinates_of(row) for row in cx.rows]
     assert all(c is not None for c in cx_coords), "centralizer must sit inside its normalizer"
     cx_in_f = Subspace.span(f_alg.dim, cx_coords)
     abelian = is_abelian(f_alg, cx_in_f)
