@@ -8,6 +8,7 @@ with identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -68,6 +69,7 @@ def _load_algebra(path: str):
     return parse_algebra(Path(path).read_text())
 
 
+@functools.cache  # built on the first call, then reused by every later main() in the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liecp",
