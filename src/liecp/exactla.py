@@ -53,12 +53,15 @@ Row = dict[int, int]  # a sparse integer row: nonzero entries by column
 
 def as_vector(values: VecLike) -> tuple[Fraction, ...]:
     """values as a tuple of Fractions; entries that already are pass through."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    # Hot tuples here are built from lists: tuple() of a generator allocates a guessed size and
+    # resizes it, so the tuple is freed onto another size's free list than it was taken from;
+    # CPython empties those lists only in full collections, and between them they hold megabytes.
+    return tuple([v if type(v) is Fraction else Fraction(v) for v in values])
 
 
 def random_point(rng: random.Random, n: int, bound: int) -> tuple[Fraction, ...]:
     """n integer coordinates drawn uniformly from [-bound, bound], in order."""
-    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(n))
+    return tuple([Fraction(rng.randint(-bound, bound)) for _ in range(n)])
 
 
 def format_rat(x: Fraction) -> str:
@@ -106,7 +109,7 @@ class QMatrix:
         return all(x == 0 for row in self.entries for x in row)
 
     def transpose(self) -> QMatrix:
-        data = tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols))
+        data = tuple([tuple([self.entries[i][j] for i in range(self.rows)]) for j in range(self.cols)])
         return QMatrix(self.cols, self.rows, data)
 
     def mul_vector(self, v: VecLike) -> tuple[Fraction, ...]:
@@ -322,10 +325,10 @@ class LinFormMatrix:
     @staticmethod
     def build(rows: int, cols: int, nvars: int, entry) -> LinFormMatrix:
         """entry(i, j) returns a mapping var-index -> coefficient."""
-        data = tuple(
-            tuple({k: Fraction(c) for k, c in entry(i, j).items() if c} for j in range(cols))
+        data = tuple([
+            tuple([{k: Fraction(c) for k, c in entry(i, j).items() if c} for j in range(cols)])
             for i in range(rows)
-        )
+        ])
         return LinFormMatrix(rows, cols, nvars, data)
 
 
@@ -334,10 +337,10 @@ def evaluate(m: LinFormMatrix, point: VecLike) -> QMatrix:
     pt = as_vector(point)
     if len(pt) != m.nvars:
         raise ValueError("point length must equal nvars")
-    data = tuple(
-        tuple(sum((c * pt[k] for k, c in form.items()), ZERO) for form in row)
+    data = tuple([
+        tuple([sum((c * pt[k] for k, c in form.items()), ZERO) for form in row])
         for row in m.entries
-    )
+    ])
     return QMatrix(m.rows, m.cols, data)
 
 
