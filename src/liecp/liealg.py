@@ -397,7 +397,7 @@ class QuotientMap:
     complement: tuple[int, ...]
 
     def _project(self, w: SparseVector) -> SparseVector:
-        """The residual of w (reduced in place) in the quotient's coordinates."""
+        """The residual of w (which it consumes) in the quotient's coordinates."""
         position = {c: k for k, c in enumerate(self.complement)}
         return {position[c]: x for c, x in sorted(self.ideal._reduce(w).items())}
 
