@@ -22,8 +22,6 @@ from liecp.errors import AmbientMismatch
 from liecp.exactla import ZERO, ONE, LinFormMatrix, QMatrix, as_vector, kernel, kernel_of_rows, rref
 from liecp.index import Bf_matrix, sample_regular, stabilizer
 from liecp.liealg import (
-    Functional,
-    LieAlgebra,
     Subspace,
     center,
     centralizer,
