@@ -60,6 +60,8 @@ def subspace_exprs(labels, subspace) -> list[str]:
 
 
 def _policy(args) -> RankPolicy:
+    if args.attempts < 1:  # read only by fsr; 0 would surface as a misleading SamplingExhausted
+        raise ValueError("attempts must be >= 1")
     return RankPolicy(
         samples=args.samples, coeff_bound=args.bound, certify=args.certify == "on", seed=args.seed
     )
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="eliminate when a sample misses the term rank: on a coadjoint slice for the index, "
         "on the whole matrix otherwise (off: sample only)",
     )
-    common.add_argument("--attempts", type=int, default=128, help="sampling attempt cap")
+    common.add_argument("--attempts", type=int, default=128, help="sampling attempt cap (fsr)")
     common.add_argument("--json", action="store_true", help="emit one JSON object")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -438,7 +440,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     base = {"schema": SCHEMA, "command": args.command, "seed": args.seed}
     try:
-        # RankPolicy rejects --samples and --bound values it cannot use
+        # _policy rejects --attempts, --samples and --bound values that cannot be used
         code, payload, lines = args.handler(args, _policy(args))
     except (LiecpError, OSError, ValueError) as err:
         base["error"] = str(err)

@@ -1,10 +1,12 @@
 """Equivalence reports tying module constructions to index-zero algebras.
 
-Each report evaluates a set of provably equivalent conditions through
-independent computational routes and asserts that they agree.  A
-disagreement can only come from a randomized rank miss, so each report
-goes through `cp._agree_or_certify`, which re-runs once with certified
-ranks and more samples before raising an error.
+Each report evaluates a set of provably equivalent conditions once,
+through independent computational routes, under the caller's policy.
+Under `policy.certify` every rank is exact, so a disagreement raises
+`InconsistentConditions`; with certification off the report is returned
+with `consistent` (or `equivalent`) false instead.  The one sampled
+condition, a functional with trivial stabilizer, draws at least 16 points
+under either policy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NoUnit, NotCommutativeIdeal
+from .errors import InconsistentConditions, NoUnit, NotCommutativeIdeal
 from .exactla import (
     DEFAULT_POLICY,
     ONE,
@@ -26,7 +28,7 @@ from .exactla import (
     kernel,
     random_point,
 )
-from .cp import _agree_or_certify, is_cp
+from .cp import is_cp
 from .index import index
 from .liealg import (
     AssocAlgebra,
@@ -50,8 +52,11 @@ class EquivalenceReport:
     built: LieAlgebra
 
 
-def _all_equal(conditions: dict[str, bool]) -> bool:
-    return len(set(conditions.values())) == 1
+def _report(conditions: dict[str, bool], built: LieAlgebra, policy: RankPolicy) -> EquivalenceReport:
+    consistent = len(set(conditions.values())) == 1
+    if policy.certify and not consistent:
+        raise InconsistentConditions(f"equivalent conditions disagree: {conditions}")
+    return EquivalenceReport(conditions=conditions, consistent=consistent, built=built)
 
 
 def _module_subspace(L: LieAlgebra, dim_g: int) -> Subspace:
@@ -71,10 +76,11 @@ def _stabilizer_vanishes_somewhere(form: LinFormMatrix, policy: RankPolicy) -> b
 
     The stabilizer at a concrete f is the left kernel of the specialized
     matrix, computed exactly; finding a witness is randomized but the
-    positive answer it gives is certain.
+    positive answer it gives is certain.  At least 16 points are drawn,
+    the witness floor of `cp._form_certificate`.
     """
     rng = random.Random(policy.seed)
-    for _ in range(policy.samples):
+    for _ in range(max(policy.samples, 16)):
         specialized = evaluate(form, random_point(rng, form.nvars, policy.coeff_bound))
         if not kernel(specialized.transpose()):
             return True
@@ -103,16 +109,13 @@ def semidirect_cp_report(
     v = _module_subspace(L, g.dim)
     form = _action_form_matrix(action_mats, g.dim, dim_v)
 
-    def run(pol: RankPolicy) -> dict[str, bool]:
-        return {
-            "cp_ideal": is_cp(L, v, pol).is_cp and is_ideal(L, v),
-            "index_matches": index(L, pol).index == dim_v - g.dim,
-            "action_rank_full": generic_rank(form, pol).rank == g.dim,
-            "stabilizer_vanishes": _stabilizer_vanishes_somewhere(form, pol),
-        }
-
-    conditions = _agree_or_certify(run, _all_equal, policy, "equivalent conditions")
-    return EquivalenceReport(conditions=conditions, consistent=True, built=L)
+    conditions = {
+        "cp_ideal": is_cp(L, v, policy).is_cp and is_ideal(L, v),
+        "index_matches": index(L, policy).index == dim_v - g.dim,
+        "action_rank_full": generic_rank(form, policy).rank == g.dim,
+        "stabilizer_vanishes": _stabilizer_vanishes_somewhere(form, policy),
+    }
+    return _report(conditions, L, policy)
 
 
 def frobenius_associative_report(
@@ -137,15 +140,12 @@ def frobenius_associative_report(
     L = semidirect_product(g, mats, n, v_labels=tuple(f"m.{lb}" for lb in a.labels))
     v = _module_subspace(L, n)
 
-    def run(pol: RankPolicy) -> dict[str, bool]:
-        return {
-            "pairing_nondegenerate": generic_rank(pairing, pol).rank == n,
-            "lie_frobenius": index(L, pol).index == 0,
-            "module_cp_ideal": is_cp(L, v, pol).is_cp and is_ideal(L, v),
-        }
-
-    conditions = _agree_or_certify(run, _all_equal, policy, "equivalent conditions")
-    return EquivalenceReport(conditions=conditions, consistent=True, built=L)
+    conditions = {
+        "pairing_nondegenerate": generic_rank(pairing, policy).rank == n,
+        "lie_frobenius": index(L, policy).index == 0,
+        "module_cp_ideal": is_cp(L, v, policy).is_cp and is_ideal(L, v),
+    }
+    return _report(conditions, L, policy)
 
 
 def lsa_frobenius_report(
@@ -169,15 +169,12 @@ def lsa_frobenius_report(
     v = _module_subspace(L, n)
     form = _action_form_matrix(dual_mats, n, n)
 
-    def run(pol: RankPolicy) -> dict[str, bool]:
-        return {
-            "stabilizer_vanishes": _stabilizer_vanishes_somewhere(form, pol),
-            "lie_frobenius": index(L, pol).index == 0,
-            "dual_cp_ideal": is_cp(L, v, pol).is_cp and is_ideal(L, v),
-        }
-
-    conditions = _agree_or_certify(run, _all_equal, policy, "equivalent conditions")
-    return EquivalenceReport(conditions=conditions, consistent=True, built=L)
+    conditions = {
+        "stabilizer_vanishes": _stabilizer_vanishes_somewhere(form, policy),
+        "lie_frobenius": index(L, policy).index == 0,
+        "dual_cp_ideal": is_cp(L, v, policy).is_cp and is_ideal(L, v),
+    }
+    return _report(conditions, L, policy)
 
 
 @dataclass(frozen=True)
@@ -212,19 +209,16 @@ def abelianization_semidirect_check(
     L1 = semidirect_product(q, action, v.dim, v_labels=flat_labels)
     v1 = _module_subspace(L1, q.dim)
 
-    def run(pol: RankPolicy) -> tuple[bool, bool, int, int]:
-        lhs = is_cp(L, v, pol).is_cp
-        rhs = is_cp(L1, v1, pol).is_cp
-        return lhs, rhs, index(L, pol).index, index(L1, pol).index
-
-    lhs, rhs, i_l, i_l1 = _agree_or_certify(
-        run, lambda r: r[0] == r[1], policy, "CP of V in L and in the flattened extension"
-    )
+    lhs = is_cp(L, v, policy).is_cp
+    rhs = is_cp(L1, v1, policy).is_cp
+    i_l, i_l1 = index(L, policy).index, index(L1, policy).index
+    if policy.certify and lhs != rhs:
+        raise InconsistentConditions(f"CP of V in L ({lhs}) and in the flattened extension ({rhs}) disagree")
     index_match = (i_l1 == i_l) if lhs else None
     return AbelianizationReport(
         cp_in_parent=lhs,
         cp_in_flattened=rhs,
-        equivalent=True,
+        equivalent=lhs == rhs,
         index_parent=i_l,
         index_flattened=i_l1,
         index_match=index_match,

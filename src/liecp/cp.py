@@ -3,11 +3,12 @@
 A commutative polarization (CP) of L is an abelian subalgebra P with
 dim P = (dim L + index L) / 2; equivalently P = P^f for some functional f
 (necessarily regular), equivalently the generic rank of the bracket
-pairing between P and L equals dim L - dim P.  The dimension and rank
-characterizations are provably equivalent, so a disagreement can only be
-a randomized-rank artifact.  Every check of equivalent conditions, here and
-in constructions.py, goes through `_agree_or_certify`: on disagreement it
-re-runs once with certified ranks and only then reports an error.
+pairing between P and L equals dim L - dim P.  Every check of provably
+equivalent conditions, here and in constructions.py, evaluates each
+condition once under the caller's policy.  Under `policy.certify` every
+rank is exact, so a disagreement can only be an elimination bug and raises
+`InconsistentConditions`; with certification off the report carries what
+was computed, uncertified or inconsistent, and nothing is re-run.
 
 `search_cp` walks cliques of the commuting graph and re-checks no candidate:
 an abelian subalgebra a is isotropic for every B_f, so dim a <= (dim L + i)/2;
@@ -32,7 +33,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -79,7 +80,6 @@ from .liealg import (
 )
 
 Vector = tuple[Fraction, ...]
-T = TypeVar("T")
 
 FSR_KIND = "fsr_noncommutative"
 FORM_KIND = "invariant_form_nonabelian"
@@ -88,28 +88,6 @@ FORM_KIND = "invariant_form_nonabelian"
 # ---------------------------------------------------------------------------
 # CP verification
 # ---------------------------------------------------------------------------
-
-
-def _agree_or_certify(
-    run: Callable[[RankPolicy], T],
-    agree: Callable[[T], bool],
-    policy: RankPolicy,
-    what: str,
-) -> T:
-    """run(policy), re-run once certified if `agree` rejects the result.
-
-    Callers evaluate provably equivalent conditions, so a disagreement can
-    only be a sampled-rank miss.  The re-run certifies every rank (exact
-    whatever the sample count) and draws at least 16 samples for the purely
-    sampled witnesses; a disagreement that survives it is an error.
-    """
-    result = run(policy)
-    if agree(result):
-        return result
-    result = run(policy.with_options(certify=True, samples=max(policy.samples, 16)))
-    if not agree(result):
-        raise InconsistentConditions(f"{what} disagree under certification: {result}")
-    return result
 
 
 @dataclass(frozen=True)
@@ -140,20 +118,13 @@ def is_cp(L: LieAlgebra, p: Subspace, policy: RankPolicy = DEFAULT_POLICY) -> CP
     subalg = is_subalgebra(L, p)
     ideal = is_ideal(L, p)
 
-    def run(pol: RankPolicy):
-        rep = index(L, pol)
-        cond_dim = 2 * p.dim == L.dim + rep.index
-        rank, rank_certified = generic_rank(pairing_matrix(L, p), pol)
-        cond_rank = rank == L.dim - p.dim
-        return rep, rank, rep.certified and rank_certified, cond_dim, cond_rank
-
-    # cond_dim and cond_rank (r[3], r[4]) are equivalent theorems for an abelian subalgebra
-    rep, rank, certified, cond_dim, cond_rank = _agree_or_certify(
-        run,
-        lambda r: not (abelian and subalg) or r[3] == r[4],
-        policy,
-        "dimension and rank conditions",
-    )
+    rep = index(L, policy)
+    cond_dim = 2 * p.dim == L.dim + rep.index
+    rank, rank_certified = generic_rank(pairing_matrix(L, p), policy)
+    cond_rank = rank == L.dim - p.dim
+    # cond_dim and cond_rank are equivalent theorems for an abelian subalgebra
+    if policy.certify and abelian and subalg and cond_dim != cond_rank:
+        raise InconsistentConditions(f"CP conditions disagree: index {rep.index}, pairing rank {rank}")
     return CPReport(
         is_cp=abelian and subalg and cond_dim and cond_rank,
         is_ideal=ideal,
@@ -164,7 +135,7 @@ def is_cp(L: LieAlgebra, p: Subspace, policy: RankPolicy = DEFAULT_POLICY) -> CP
         dim_p=p.dim,
         index=rep.index,
         rank_value=rank,
-        certified=certified,
+        certified=rep.certified and rank_certified,
     )
 
 
@@ -411,12 +382,9 @@ def verify_index_chain(
     cp_report = None
     if steps_ok and final_abelian:
         # a valid increasing-index chain ends in a commutative polarization
-        cp_report = _agree_or_certify(
-            lambda pol: is_cp(L, final, pol),
-            lambda r: r.is_cp,
-            policy,
-            "the index chain and the CP check of its last level",
-        )
+        cp_report = is_cp(L, final, policy)
+        if policy.certify and not cp_report.is_cp:
+            raise InconsistentConditions("the index chain ends in an abelian level that is not a CP")
     return ChainReport(
         dims=tuple(lv.dim for lv in levels),
         indices=indices,
@@ -500,13 +468,9 @@ def codim1_analysis(
     if not is_subalgebra(L, m):
         raise NotASubalgebra("M must be a subalgebra")
 
-    m_alg = restrict(L, m)
-    i_l, i_m = _agree_or_certify(
-        lambda pol: (index(L, pol), index(m_alg, pol)),
-        lambda r: abs(r[1].index - r[0].index) == 1,
-        policy,
-        "indices of L and M (which must differ by 1)",
-    )
+    i_l, i_m = index(L, policy), index(restrict(L, m), policy)
+    if policy.certify and abs(i_m.index - i_l.index) != 1:
+        raise InconsistentConditions(f"indices of L and M differ by {i_m.index - i_l.index}, not by 1")
     fsr_rep = frobenius_semiradical(L, policy)
     return Codim1Report(
         index_parent=i_l.index,
@@ -596,14 +560,10 @@ def subalgebra_cp_transfer(
     if any(c is None for c in coords):
         raise NotContained("P must be contained in M")
     p_in_m = Subspace.span(m.dim, coords)
-
-    def run(pol: RankPolicy) -> tuple[bool, bool, bool]:
-        lhs = is_cp(L, p, pol).is_cp
-        cp_sub = is_cp(m_alg, p_in_m, pol).is_cp
-        relation = index(m_alg, pol).index == index(L, pol).index + L.dim - m.dim
-        return lhs, cp_sub, relation
-
-    lhs, cp_sub, relation = _agree_or_certify(
-        run, lambda r: r[0] == (r[1] and r[2]), policy, "subalgebra transfer conditions"
-    )
-    return TransferReport(cp_of_parent=lhs, cp_of_sub=cp_sub, index_relation=relation, equivalent=True)
+    lhs = is_cp(L, p, policy).is_cp
+    cp_sub = is_cp(m_alg, p_in_m, policy).is_cp
+    relation = index(m_alg, policy).index == index(L, policy).index + L.dim - m.dim
+    equivalent = lhs == (cp_sub and relation)
+    if policy.certify and not equivalent:
+        raise InconsistentConditions(f"transfer conditions disagree: {lhs=}, {cp_sub=}, {relation=}")
+    return TransferReport(cp_of_parent=lhs, cp_of_sub=cp_sub, index_relation=relation, equivalent=equivalent)

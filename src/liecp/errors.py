@@ -83,7 +83,7 @@ class SamplingExhausted(LiecpError):
 
 
 class InconsistentConditions(LiecpError):
-    """Provably-equivalent conditions disagreed even after certified recomputation."""
+    """Provably equivalent conditions disagreed under certified ranks: an elimination bug."""
 
 
 class ChainGap(LiecpError):

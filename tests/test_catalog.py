@@ -10,7 +10,7 @@ from liecp.errors import MissingParameter, UnknownEntry
 from liecp.exactla import RankPolicy
 from liecp.liealg import parse_algebra
 from liecp.index import index
-from liecp.cp import search_cp, no_cp_certificate
+from liecp.cp import is_cp, search_cp, no_cp_certificate
 from liecp import catalog
 
 F = Fraction
@@ -89,6 +89,12 @@ class TestVerify:
     def test_all_entries_clean(self, name):
         rep = catalog.verify(name, P)
         assert rep.ok, rep.mismatches
+        witness = catalog.expected(name).cp_witness
+        if witness is not None:
+            # the dimension and rank characterizations of a CP are equivalent theorems
+            L = catalog.get(name)
+            cp_rep = is_cp(L, L.span_of_labels(witness), P)
+            assert cp_rep.condition_dim == cp_rep.condition_rank and cp_rep.certified
 
     def test_morozov4_details(self):
         rep = catalog.verify("morozov6_4", P)

@@ -3,7 +3,10 @@
 import argparse
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from liecp.liealg import serialize_algebra
 from liecp.parabolic import CompositionA, nilradical_A
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = README.parent
 
 
 @pytest.fixture
@@ -214,6 +218,18 @@ class TestDeterminism:
         assert code == 0 and "index 2" in out
 
 
+class TestEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "liecp", "catalog", "verify", "--json"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["exit"] == 0
+
+
 class TestReadme:
     def test_certify_choices_match_the_parser(self):
         # the common-options paragraph names exactly the parser's --certify choices
@@ -299,6 +315,13 @@ class TestErrors:
         assert code == 2
         assert_error_line(out, "index")
         assert "must be >=" in json.loads(out)["error"]
+
+    def test_attempts_below_one_rejected(self, diamond_file):
+        # was SamplingExhausted's "...this indicates a wrong index value"
+        code, out = run(["fsr", diamond_file, "--attempts", "0", "--json"])
+        assert code == 2
+        assert_error_line(out, "fsr")
+        assert json.loads(out)["error"] == "attempts must be >= 1"
 
     @pytest.mark.parametrize("name, param", [("free_two_step", "n=5/2"), ("heisenberg", "m=3/2")])
     def test_non_integral_catalog_parameter(self, name, param):

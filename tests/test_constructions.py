@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from liecp.errors import NoUnit, NotCommutativeIdeal
+from liecp import constructions
+from liecp.errors import InconsistentConditions, NoUnit, NotCommutativeIdeal
 from liecp.exactla import QMatrix, RankPolicy
 from liecp.liealg import (
     is_abelian,
@@ -100,6 +101,44 @@ class TestSemidirect:
         action = [g.ad(g.basis_vector(i)) for i in range(2)]
         rep = semidirect_cp_report(g, action, 2, P)
         assert index(rep.built, P).index + g.dim == 2
+
+
+class TestSinglePass:
+    """The conditions are evaluated once under the caller's policy, never re-run."""
+
+    @pytest.fixture
+    def no_witness(self, monkeypatch):
+        # the sampled witness misses although the other conditions hold
+        calls = []
+
+        def missed(form, policy):
+            calls.append(policy)
+            return False
+
+        monkeypatch.setattr(constructions, "_stabilizer_vanishes_somewhere", missed)
+        return calls
+
+    @staticmethod
+    def report(policy):
+        g = lie_algebra_from_label_table(("x",), {})
+        return semidirect_cp_report(g, [QMatrix.identity(1)], 1, policy)
+
+    def test_uncertified_disagreement_is_reported(self, no_witness):
+        weak = RankPolicy(certify=False)
+        rep = self.report(weak)
+        assert not rep.consistent
+        assert rep.conditions == {
+            "cp_ideal": True,
+            "index_matches": True,
+            "action_rank_full": True,
+            "stabilizer_vanishes": False,
+        }
+        assert no_witness == [weak]
+
+    def test_certified_disagreement_raises(self, no_witness):
+        with pytest.raises(InconsistentConditions, match="equivalent conditions disagree"):
+            self.report(P)
+        assert no_witness == [P]
 
 
 class TestAssociative:

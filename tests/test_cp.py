@@ -21,7 +21,7 @@ from liecp.errors import (
     NotRegular,
     WrongCodimension,
 )
-from liecp.exactla import QMatrix, RankPolicy, kernel
+from liecp.exactla import QMatrix, RankPolicy, RankResult, kernel
 from liecp.liealg import (
     Functional,
     Subspace,
@@ -45,7 +45,6 @@ from liecp.cp import (
     FORM_KIND,
     FSR_KIND,
     _COMBO_COEFFS,
-    _agree_or_certify,
     centralizer_codim1_check,
     codim1_analysis,
     cp_witness_functional,
@@ -439,39 +438,36 @@ class TestCodim1:
             )
 
 
-class TestAgreeOrCertify:
-    def test_agreement_runs_once(self):
+class TestSinglePass:
+    """Equivalent conditions are evaluated once under the caller's policy, never re-run."""
+
+    @pytest.fixture
+    def missed_pairing_rank(self, monkeypatch):
+        # the pairing rank comes out one short: a sampled miss without
+        # certification, an elimination bug under it
         calls = []
+        real = cp_module.generic_rank
 
-        def run(pol):
-            calls.append(pol)
-            return "first"
+        def missed(m, policy):
+            calls.append(policy)
+            return RankResult(real(m, policy).rank - 1, policy.certify)
 
-        assert _agree_or_certify(run, lambda r: True, P, "stub") == "first"
-        assert calls == [P]
+        monkeypatch.setattr(cp_module, "generic_rank", missed)
+        return calls
 
-    def test_certified_rerun_resolves(self):
-        calls = []
+    def test_uncertified_miss_is_reported_not_rerun(self, missed_pairing_rank):
+        L = h3()
+        weak = RankPolicy(certify=False)
+        rep = is_cp(L, parse_span(L, "y,z"), weak)
+        assert rep.condition_dim and not rep.condition_rank and not rep.is_cp
+        assert rep.certified is False
+        assert missed_pairing_rank == [weak]
 
-        def run(pol):
-            calls.append(pol)
-            return len(calls)
-
-        weak = RankPolicy(samples=2, certify=False, seed=7)
-        assert _agree_or_certify(run, lambda r: r == 2, weak, "stub") == 2
-        assert calls[0] == weak
-        assert calls[1] == weak.with_options(certify=True, samples=16)
-
-    def test_persistent_disagreement_raises(self):
-        calls = []
-
-        def run(pol):
-            calls.append(pol)
-            return None
-
-        with pytest.raises(InconsistentConditions, match="stub disagree"):
-            _agree_or_certify(run, lambda r: False, P, "stub")
-        assert len(calls) == 2 and calls[1].certify is True
+    def test_certified_disagreement_raises(self, missed_pairing_rank):
+        L = h3()
+        with pytest.raises(InconsistentConditions, match="CP conditions disagree: index 1, pairing rank 0"):
+            is_cp(L, parse_span(L, "y,z"), P)
+        assert missed_pairing_rank == [P]
 
 
 class TestCentralizerCheck:

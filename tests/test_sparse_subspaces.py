@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecp import catalog
-from liecp.cp import pairing_matrix, perp_of, search_cp
+from liecp.cp import is_cp, pairing_matrix, perp_of, search_cp
 from liecp.errors import AmbientMismatch
 from liecp.exactla import ZERO, ONE, LinFormMatrix, QMatrix, as_vector, kernel, kernel_of_rows, rref
 from liecp.index import Bf_matrix, sample_regular, stabilizer
@@ -262,6 +262,10 @@ def test_closure_predicates_match_dense(cases):
             assert is_abelian(L, s) == dense_is_abelian(L, rows), name
             assert is_subalgebra(L, s) == dense_is_subalgebra(L, rows), name
             assert is_ideal(L, s) == dense_is_ideal(L, rows), name
+            if is_abelian(L, s) and is_subalgebra(L, s):
+                # the dimension and rank characterizations of a CP are equivalent theorems
+                rep = is_cp(L, s)
+                assert rep.condition_dim == rep.condition_rank and rep.certified, name
 
 
 @pytest.mark.parametrize("cases", [catalog_cases, sweep_cases])
