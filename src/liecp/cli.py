@@ -1,6 +1,7 @@
 """Command-line surface with reproducible seeds and machine-readable output.
 
-Exit codes: 0 verified positive / success, 1 verified negative, 2 error.
+Exit codes: 0 verified positive / success, 1 verified negative, 2 error or
+an unverified answer (printed with its payload).
 With --json a single structured object is printed; identical invocations
 with identical seeds produce byte-identical output.
 """
@@ -416,23 +417,24 @@ def _cmd_table1(args, policy):
     return (0 if rep.ok else 1), payload, lines
 
 
+def _equivalence_result(rep):
+    """Exit 0 when the equivalent conditions all hold, 1 when none does, and 2
+    when they disagree (only with --certify off), which verifies nothing."""
+    payload = {"conditions": dict(rep.conditions), "consistent": rep.consistent}
+    lines = [f"{k}: {v}" for k, v in rep.conditions.items()]
+    code = 2 if not rep.consistent else 0 if all(rep.conditions.values()) else 1
+    return code, payload, lines
+
+
 def _cmd_frobenius_assoc(args, policy):
     algebra = parse_assoc_algebra(Path(args.file).read_text())
-    rep = frobenius_associative_report(algebra, policy)
-    payload = {"conditions": dict(rep.conditions), "consistent": rep.consistent}
-    positive = all(rep.conditions.values())
-    lines = [f"{k}: {v}" for k, v in rep.conditions.items()]
-    return (0 if positive else 1), payload, lines
+    return _equivalence_result(frobenius_associative_report(algebra, policy))
 
 
 def _cmd_semidirect(args, policy):
     g = _load_algebra(args.gfile)
     dim_v, matrices = parse_action(Path(args.action).read_text())
-    rep = semidirect_cp_report(g, matrices, dim_v, policy)
-    payload = {"conditions": dict(rep.conditions), "consistent": rep.consistent}
-    positive = all(rep.conditions.values())
-    lines = [f"{k}: {v}" for k, v in rep.conditions.items()]
-    return (0 if positive else 1), payload, lines
+    return _equivalence_result(semidirect_cp_report(g, matrices, dim_v, policy))
 
 
 def main(argv=None) -> int:

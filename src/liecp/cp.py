@@ -13,12 +13,14 @@ was computed, uncertified or inconsistent, and nothing is re-run.
 `search_cp` walks cliques of the commuting graph and re-checks no candidate:
 an abelian subalgebra a is isotropic for every B_f, so dim a <= (dim L + i)/2;
 the sampled index i_s is at least i; so an abelian span of dimension
-(dim L + i_s)/2 forces i_s = i and is a CP.
+(dim L + i_s)/2 forces i_s = i and is a CP.  A CP is then maximal isotropic
+for every regular B_f, so it contains every regular stabilizer L^f, and the
+walk is pruned with one of them.
 
 Negative results are certified soundly through two routes: a pair of
-vectors in the sampled stabilizer span with nonzero bracket (the sampled
-span is always contained in the true stabilizer-span ideal, which any CP
-must absorb as a commutative subspace), or a nondegenerate invariant
+vectors with nonzero bracket in the span of the stabilizers of sampled
+regular functionals (a CP contains each of those stabilizers, so it would
+contain the pair and not be commutative), or a nondegenerate invariant
 symmetric form on a nonabelian algebra (which forces the stabilizer span
 to be everything).
 
@@ -61,6 +63,7 @@ from .exactla import (
 )
 from .index import (
     _bf_rows,
+    _draw_regular,
     frobenius_semiradical,
     index,
     invariant_symmetric_forms,
@@ -307,20 +310,28 @@ def _commuting_sets(
 
 
 def search_cp(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> Subspace | None:
-    """First abelian span of dimension d = (dim L + i_s)/2 containing the center
-    and the sampled stabilizer span: a commuting coordinate span, else one with
-    a two-label combination, in lexicographic order.  It is a CP unchecked:
-    an abelian subalgebra is isotropic for every B_f, so its dimension is at
-    most (dim L + i)/2; the sampled index i_s is at least i; so d forces i_s = i.
-    Absence of a result is NOT a proof of non-existence.
+    """First abelian span of dimension d = (dim L + i_s)/2 containing the
+    stabilizer L^f of the first regular functional f of the seeded stream
+    (the draw of `sample_regular`): a commuting coordinate span, else one
+    with a two-label combination, in lexicographic order.  It is a CP
+    unchecked: an abelian subalgebra is isotropic for every B_f, so its
+    dimension is at most (dim L + i)/2; the sampled index i_s is at least i;
+    so d forces i_s = i.  Absence of a result is NOT a proof of non-existence.
+
+    Requiring L^f only prunes the walk.  Let P be abelian with dim P = d and
+    g regular.  P is isotropic for B_g, and (dim L + dim L^g)/2 = d is the
+    largest dimension of an isotropic subspace, so P is maximal isotropic
+    and contains the radical L^g of B_g.  So every set the walk can return,
+    in either stage, contains every regular stabilizer (and the center, and
+    the whole stabilizer span), and a required support inside that span
+    never changes the first set found.  dim L^f = i_s <= d, so requiring it
+    never rules out the search up front.
     """
     idx = index(L, policy)
     if (L.dim + idx.index) % 2 != 0:
         raise InconsistentConditions("dim + index must be even")
     d = (L.dim + idx.index) // 2
-    must_contain = frobenius_semiradical(L, policy).subspace + center(L)
-    if must_contain.dim > d:
-        return None
+    _, must_contain = _draw_regular(L, idx.index, random.Random(policy.seed), policy.coeff_bound, 128)
     support = {j for row in must_contain.rows for j in row}
     first = next(_commuting_sets(L, d, support), None)
     if first is not None:

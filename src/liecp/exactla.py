@@ -7,8 +7,8 @@ denominators by their lcm into a primitive {col: int} and reduced at its
 lowest column against the pivot row there.  Pivot columns, and so the
 reduced echelon form, depend only on the row space, not on row order.
 `rank_of_rows` counts the pivots; `rref` back-substitutes on the sparse
-rows and returns them sparse or dense; `kernel_of_rows`, `solve_linear_system`
-and the subspace calculus in `liealg`, which keeps them sparse, use `rref`.
+rows and returns them sparse or dense; `kernel_of_rows` and the subspace
+calculus in `liealg`, which keeps them sparse, use `rref`.
 
 Rank over the field of rational functions in several variables
 (`generic_rank`) takes the first of these routes that settles it.
@@ -225,20 +225,6 @@ def kernel_of_rows(rows: Iterable[RowLike], cols: int, sparse: bool = False) -> 
 def kernel(m: QMatrix) -> list[tuple[Fraction, ...]]:
     """Reduced-echelon basis of the right null space {v : m v = 0}."""
     return kernel_of_rows(m.entries, m.cols)
-
-
-def solve_linear_system(m: QMatrix, rhs: VecLike) -> tuple[Fraction, ...] | None:
-    """One solution of m x = rhs if consistent, else None."""
-    b = as_vector(rhs)
-    if len(b) != m.rows:
-        raise ValueError("rhs length must equal rows")
-    red, pivots = rref([list(row) + [b[i]] for i, row in enumerate(m.entries)], m.cols + 1)
-    if m.cols in pivots:
-        return None
-    x = [ZERO] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][m.cols]
-    return tuple(x)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .exactla import (
     DEFAULT_POLICY,
     ZERO,
     LinFormMatrix,
-    QMatrix,
     RankPolicy,
     _echelon,
     _symbolic_rank,
@@ -142,27 +141,20 @@ def _bf_rows(L: LieAlgebra, f: Functional) -> list[dict[int, Fraction]]:
     return rows
 
 
-def Bf_matrix(L: LieAlgebra, f: Functional) -> QMatrix:
-    """Alternating form (i, j) -> f([x_i, x_j])."""
-    return QMatrix(L.dim, L.dim, tuple(tuple(row.get(j, ZERO) for j in range(L.dim)) for row in _bf_rows(L, f)))
-
-
 def stabilizer(L: LieAlgebra, f: Functional) -> Subspace:
     """Kernel of B_f; contains the center for every f."""
     return Subspace(L.dim, tuple(kernel_of_rows(_bf_rows(L, f), L.dim, sparse=True)))
 
 
-def is_regular(L: LieAlgebra, f: Functional, policy: RankPolicy = DEFAULT_POLICY) -> bool:
-    return stabilizer(L, f).dim == index(L, policy).index
-
-
 def _draw_regular(
     L: LieAlgebra, target_dim: int, rng: random.Random, bound: int, attempts: int
-) -> Functional:
+) -> tuple[Functional, Subspace]:
+    """Next functional of the stream whose stabilizer has `target_dim`, with that stabilizer."""
     for _ in range(attempts):
         f = Functional(L.dim, random_point(rng, L.dim, bound))
-        if stabilizer(L, f).dim == target_dim:
-            return f
+        s = stabilizer(L, f)
+        if s.dim == target_dim:
+            return f, s
     raise SamplingExhausted(
         f"no regular functional found in {attempts} attempts; regular functionals are dense, "
         "so this indicates a wrong index value"
@@ -175,47 +167,55 @@ def sample_regular(
     """First integer-coordinate functional from the seeded stream whose stabilizer is minimal."""
     idx = index(L, policy)
     rng = random.Random(policy.seed)
-    return _draw_regular(L, idx.index, rng, policy.coeff_bound, attempts)
+    return _draw_regular(L, idx.index, rng, policy.coeff_bound, attempts)[0]
+
+
+# frobenius_semiradical draws at most FSR_MAX_SAMPLES functionals, and stops
+# early once FSR_STABLE_RUN draws in a row leave the span unchanged
+FSR_MAX_SAMPLES = 64
+FSR_STABLE_RUN = 3
 
 
 @dataclass(frozen=True)
 class FSRReport:
-    """Span of stabilizers of sampled regular functionals.
+    """Span of the stabilizers of the sampled regular `functionals`.
 
     subspace is always contained in the true stabilizer-span ideal; when
-    converged, sampling saw no growth for a full stable run.
+    converged, the last FSR_STABLE_RUN draws left it unchanged.
     """
 
     subspace: Subspace
     converged: bool
-    samples_used: int
     functionals: tuple[Functional, ...]
+
+    @property
+    def samples_used(self) -> int:
+        return len(self.functionals)
 
 
 def frobenius_semiradical(
-    L: LieAlgebra,
-    policy: RankPolicy = DEFAULT_POLICY,
-    max_samples: int = 64,
-    stable_run: int = 3,
-    attempts: int = 128,
+    L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY, attempts: int = 128
 ) -> FSRReport:
+    """Span of regular stabilizers drawn from the seeded stream until it stops growing.
+
+    Each draw's stabilizer is computed once, by the regularity test that
+    accepts it.  The first draw is `sample_regular`'s.
+    """
     idx = index(L, policy)
     rng = random.Random(policy.seed)
     span = Subspace.zero(L.dim)
-    used = 0
     stable = 0
     funcs: list[Functional] = []
-    while used < max_samples and stable < stable_run:
-        f = _draw_regular(L, idx.index, rng, policy.coeff_bound, attempts)
+    while len(funcs) < FSR_MAX_SAMPLES and stable < FSR_STABLE_RUN:
+        f, s = _draw_regular(L, idx.index, rng, policy.coeff_bound, attempts)
         funcs.append(f)
-        used += 1
-        grown = span + stabilizer(L, f)
+        grown = span + s
         if grown.dim == span.dim:
             stable += 1
         else:
             stable = 0
             span = grown
-    return FSRReport(span, stable >= stable_run, used, tuple(funcs))
+    return FSRReport(span, stable >= FSR_STABLE_RUN, tuple(funcs))
 
 
 def _sym_index(n: int, p: int, q: int) -> int:

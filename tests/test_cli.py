@@ -178,6 +178,30 @@ class TestProductFiles:
         code, payload = run_json(["frobenius-assoc", str(path)])
         assert code == 0 and all(payload["conditions"].values())
 
+    @pytest.fixture
+    def line_action(self, tmp_path):
+        # the identity acting on a line, over the one-dimensional algebra
+        gfile = tmp_path / "line.alg"
+        gfile.write_text(json.dumps({"name": "line", "dim": 1, "basis": ["x"], "brackets": []}))
+        afile = tmp_path / "identity.json"
+        afile.write_text(json.dumps({"dim_v": 1, "matrices": [[["1"]]]}))
+        return ["semidirect", str(gfile), "--action", str(afile)]
+
+    def test_semidirect_inconsistent_is_not_a_verified_negative(self, monkeypatch, line_action):
+        # the sampled witness misses although the other conditions hold
+        from liecp import constructions
+
+        code, payload = run_json(line_action)
+        assert code == 0 and payload["consistent"]
+        monkeypatch.setattr(constructions, "_stabilizer_vanishes_somewhere", lambda form, policy: False)
+        code, payload = run_json(line_action + ["--certify", "off"])
+        assert code == 2 and payload["exit"] == 2
+        assert payload["consistent"] is False and payload["conditions"]["stabilizer_vanishes"] is False
+        code, out = run(line_action + ["--json"])
+        assert code == 2
+        assert_error_line(out, "semidirect")
+        assert "equivalent conditions disagree" in json.loads(out)["error"]
+
     def test_semidirect(self, tmp_path, h3_file):
         two_dim = {
             "name": "aff",

@@ -21,7 +21,7 @@ from liecp.errors import (
     NotRegular,
     WrongCodimension,
 )
-from liecp.exactla import QMatrix, RankPolicy, RankResult, kernel
+from liecp.exactla import ONE, QMatrix, RankPolicy, RankResult, kernel
 from liecp.liealg import (
     Functional,
     Subspace,
@@ -722,6 +722,17 @@ class TestCommutingWalk:
             search_cp(catalog.get(name), P)
         assert search_cp(combination_tier(), P).dim == 3
 
+    def test_search_never_samples_the_stabilizer_span(self, monkeypatch):
+        # one regular stabilizer is the whole required support
+        def refuse(*args, **kwargs):
+            raise AssertionError("search_cp sampled the stabilizer span or computed the center")
+
+        monkeypatch.setattr(cp_module, "frobenius_semiradical", refuse)
+        monkeypatch.setattr(cp_module, "center", refuse)
+        for name in ("h5", "j5", "morozov6_4", "abelian", "g6", "diamond", "free_two_step"):
+            search_cp(catalog.get(name), P)
+        assert search_cp(combination_tier(), P).dim == 3
+
     def test_free_two_step_6_is_bounded(self, monkeypatch):
         # every commuting set holds at most one generator: 16 < d = 18, refuted
         # in a handful of walk nodes; counted in Subspace.span calls, not time
@@ -735,3 +746,75 @@ class TestCommutingWalk:
 
         monkeypatch.setattr(Subspace, "span", staticmethod(counted))
         assert search_cp(catalog.get("free_two_step", n=6), P) is None
+
+
+# ---------------------------------------------------------------------------
+# One regular stabilizer against the sampled span it replaces
+# ---------------------------------------------------------------------------
+
+
+def span_search_cp(L, policy):
+    """`search_cp` as it stood with the sampled stabilizer span and the center
+    as its required support, and with its early exit."""
+    idx = index(L, policy)
+    if (L.dim + idx.index) % 2 != 0:
+        raise InconsistentConditions("dim + index must be even")
+    d = (L.dim + idx.index) // 2
+    must_contain = frobenius_semiradical(L, policy).subspace + center(L)
+    if must_contain.dim > d:
+        return None
+    support = {j for row in must_contain.rows for j in row}
+    first = next(cp_module._commuting_sets(L, d, support), None)
+    if first is not None:
+        return Subspace(L.dim, tuple({i: ONE} for i in first))
+    for subset in cp_module._commuting_sets(L, d - 1, support, 2):
+        rest = [i for i in range(L.dim) if i not in subset]
+        for i, j in itertools.combinations(rest, 2):
+            if not support <= {*subset, i, j}:
+                continue
+            for q in _COMBO_COEFFS:
+                candidate = Subspace.span(L.dim, [{s: ONE} for s in subset] + [{i: ONE, j: q}])
+                if candidate.contains_subspace(must_contain) and is_abelian(L, candidate):
+                    return candidate
+    return None
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def _span_search_inputs():
+    """The 39 algebras of the `search` benchmark workload, then the type-A
+    nilradicals with n <= 6 and the type-C ones with r <= 3."""
+    inputs = {name: lambda name=name: catalog.get(name) for name in catalog.names()}
+    for fam, r in (("B", 3), ("B", 4), ("D", 4), ("D", 5), ("B", 5)):
+        inputs[f"{fam}{r} nilradical"] = lambda fam=fam, r=r: borel_data_classical(fam, r)[0]
+    parts_a = [(1, 2, 2, 1), (1, 1, 2, 1, 1), (2, 2, 2, 1), (1,) * 7]
+    parts_a += [c for n in range(1, 7) for c in _compositions(n) if c not in parts_a]
+    halves = [(r, s, half) for r in range(1, 4) for s in range(r + 1) for half in _compositions(s)]
+    parts_c = [(1, 2, 2, 1), (2, 2, 2, 2)] + [CompositionC.from_half(h, r - s).parts for r, s, h in halves]
+    for c in parts_a:
+        inputs.setdefault(f"A{c}", lambda c=c: nilradical_A(CompositionA(c))[0])
+    for c in parts_c:
+        inputs.setdefault(f"C{c}", lambda c=c: nilradical_C(CompositionC(c))[0])
+    return inputs
+
+
+_SPAN_SEARCH_INPUTS = _span_search_inputs()
+
+
+class TestOneRegularStabilizer:
+    @pytest.mark.parametrize("name", list(_SPAN_SEARCH_INPUTS))
+    def test_same_result_as_the_sampled_span(self, name):
+        L = _SPAN_SEARCH_INPUTS[name]()
+        assert search_cp(L, P) == span_search_cp(L, P)
+
+    def test_inputs(self):
+        # 28 catalog entries and 11 generated nilradicals make the workload's 39;
+        # then 61 more type-A (63 with n <= 6, two already in) and 13 more type-C
+        assert len(catalog.names()) == 28
+        assert len(_SPAN_SEARCH_INPUTS) == 39 + 61 + 13

@@ -23,7 +23,6 @@ from liecp.exactla import (
     rank_exact,
     rank_of_rows,
     rref,
-    solve_linear_system,
     _exact_div,
     _mul_sub,
     _symbolic_rank,
@@ -112,25 +111,6 @@ class TestKernel:
             assert all(x == 0 for x in m.mul_vector(v))
         rows, _ = rref(basis, m.cols)
         assert [tuple(r) for r in rows] == basis
-
-
-class TestSolve:
-    def test_identity(self):
-        assert solve_linear_system(QMatrix.identity(2), [1, 2]) == (F(1), F(2))
-
-    def test_underdetermined(self):
-        sol = solve_linear_system(QMatrix.from_rows([[1, 1]]), [2])
-        assert sol is not None and sol[0] + sol[1] == 2
-
-    def test_inconsistent(self):
-        assert solve_linear_system(QMatrix.from_rows([[1], [1]]), [0, 1]) is None
-
-    @given(small_qmatrices, st.lists(rationals, min_size=5, max_size=5))
-    def test_solution_substitutes(self, m, xs):
-        rhs = m.mul_vector(xs[: m.cols])
-        sol = solve_linear_system(m, rhs)
-        assert sol is not None
-        assert m.mul_vector(sol) == rhs
 
 
 # Entries whose denominators need the lcm scaling and whose rows need the

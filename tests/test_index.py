@@ -31,14 +31,12 @@ from liecp.liealg import (
     tensor_commutative,
 )
 from liecp.index import (
-    Bf_matrix,
     bracket_matrix,
     frobenius_semiradical,
     has_nondeg_invariant_form,
     index,
     invariant_symmetric_forms,
     is_frobenius,
-    is_regular,
     is_square_integrable,
     sample_regular,
     slice_coordinates,
@@ -191,14 +189,18 @@ class TestStabilizer:
 
 class TestRegular:
     def test_diamond_x_star_regular(self):
-        assert is_regular(diamond(), Functional.from_coords((0, 1, 0, 0)), P)
+        L = diamond()
+        assert stabilizer(L, Functional.from_coords((0, 1, 0, 0))).dim == index(L, P).index
 
     def test_zero_regular_iff_abelian(self):
-        assert is_regular(abelian(3), Functional.from_coords((0, 0, 0)), P)
-        assert not is_regular(diamond(), Functional.from_coords((0, 0, 0, 0)), P)
+        L = abelian(3)
+        assert stabilizer(L, Functional.from_coords((0, 0, 0))).dim == index(L, P).index
+        L = diamond()
+        assert stabilizer(L, Functional.from_coords((0, 0, 0, 0))).dim != index(L, P).index
 
     def test_h3_x_star_not_regular(self):
-        assert not is_regular(h3(), Functional.from_coords((1, 0, 0)), P)
+        L = h3()
+        assert stabilizer(L, Functional.from_coords((1, 0, 0))).dim != index(L, P).index
 
     def test_sample_regular_has_minimal_stabilizer(self):
         for L in (diamond(), h3(), morozov4()):
@@ -222,6 +224,26 @@ class TestRegular:
 
 
 class TestFSR:
+    @pytest.mark.parametrize("build", [diamond, lambda: catalog.get("morozov6_4")])
+    def test_each_stabilizer_computed_once(self, monkeypatch, build):
+        # the regularity test's stabilizer is the one added to the span
+        L = build()
+        index(L, P)
+        calls = []
+
+        def counted(L, f):
+            calls.append(f)
+            return stabilizer(L, f)
+
+        monkeypatch.setattr(index_module, "stabilizer", counted)
+        rep = frobenius_semiradical(L, P)
+        assert len(calls) == rep.samples_used == len(rep.functionals) > 1
+        assert tuple(calls) == rep.functionals
+
+    def test_first_draw_is_sample_regular(self):
+        L = catalog.get("morozov6_4")
+        assert frobenius_semiradical(L, P).functionals[0] == sample_regular(L, P)
+
     def test_diamond_full(self):
         rep = frobenius_semiradical(diamond(), P)
         assert rep.subspace.dim == 4 and rep.converged
@@ -305,8 +327,6 @@ class TestInvariantForms:
         # b(x1,x5) = b(x3,x3) = 1, b(x2,x4) = -1 solves the system
         L = g5()
         fam = invariant_symmetric_forms(L)
-        from liecp.exactla import QMatrix, evaluate, solve_linear_system
-
         target = [[F(0)] * 5 for _ in range(5)]
         target[0][4] = target[4][0] = F(1)
         target[2][2] = F(1)
@@ -318,9 +338,9 @@ class TestInvariantForms:
             for j in range(i, 5):
                 rows.append([fam.entries[i][j].get(m, F(0)) for m in range(fam.nvars)])
                 rhs.append(target[i][j])
-        sol = solve_linear_system(QMatrix.from_rows(rows, fam.nvars), rhs)
-        assert sol is not None
-        assert evaluate(fam, sol) == QMatrix.from_rows(target)
+        sol, params = sympy.Matrix(rows).gauss_jordan_solve(sympy.Matrix(rhs))
+        point = [F(int(x.p), int(x.q)) for x in sol.subs({t: 0 for t in params})]
+        assert evaluate(fam, point) == QMatrix.from_rows(target)
 
 
 def _dense_invariant_forms(L):
@@ -423,7 +443,6 @@ def _dense_stabilizer(L, f):
         data[i][j] = sum((c * f.coords[k] for k, c in table.items()), F(0))
         data[j][i] = -data[i][j]
     bf = QMatrix(L.dim, L.dim, tuple(map(tuple, data)))
-    assert Bf_matrix(L, f) == bf
     return Subspace(L.dim, tuple(kernel(bf)))
 
 
@@ -511,8 +530,6 @@ class TestBfMatrixDimension:
     def test_functional_of_wrong_length_rejected(self, coords):
         L = h3()
         f = Functional(len(coords), tuple(F(c) for c in coords))
-        with pytest.raises(AmbientMismatch):
-            Bf_matrix(L, f)
         with pytest.raises(AmbientMismatch):
             stabilizer(L, f)
 

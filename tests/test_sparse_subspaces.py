@@ -20,7 +20,7 @@ from liecp import catalog
 from liecp.cp import is_cp, pairing_matrix, perp_of, search_cp
 from liecp.errors import AmbientMismatch
 from liecp.exactla import ZERO, ONE, LinFormMatrix, QMatrix, as_vector, kernel, kernel_of_rows, rref
-from liecp.index import Bf_matrix, sample_regular, stabilizer
+from liecp.index import _bf_rows, sample_regular, stabilizer
 from liecp.liealg import (
     Subspace,
     center,
@@ -135,6 +135,11 @@ def dense_is_ideal(L, rows):
     return all(
         dense_contains(rows, dense_bracket(L, dense_basis_vector(L, i), row)) for i in range(L.dim) for row in rows
     )
+
+
+def Bf_matrix(L, f):
+    """Alternating form (i, j) -> f([x_i, x_j])."""
+    return QMatrix(L.dim, L.dim, tuple(tuple(row.get(j, ZERO) for j in range(L.dim)) for row in _bf_rows(L, f)))
 
 
 def dense_perp_of(L, rows, f):
