@@ -7,7 +7,8 @@ pairs of nonzero coordinates, and a `Subspace` keeps the unique reduced
 echelon rows of `rref`, so equal subspaces have equal rows; dense tuples
 appear only at the API boundary (`bracket`, `basis`, `residual`).  Every
 constructor re-validates the Jacobi identity exactly, over the basis triples
-that contain a bracketing pair (any other triple has zero defect).
+with a nonzero double bracket [[x_a, x_b], x_c] in the tables (any other
+triple has zero defect; see `new_lie_algebra`).
 """
 
 from __future__ import annotations
@@ -304,21 +305,37 @@ def new_lie_algebra(
     labels: Sequence[str],
     brackets: Mapping[tuple[int, int], Mapping[int, "Fraction | int"]],
 ) -> LieAlgebra:
-    """Validated constructor: distinct labels, i < j keys, exact Jacobi check."""
+    """Validated constructor: distinct labels, i < j keys, exact Jacobi check.
+
+    The check visits only the triples i < j < k that can have a nonzero defect,
+    in lexicographic order, so a `JacobiViolation` names the first failing
+    triple.  Write c_ab^p for the table entries, [x_a, x_b] = sum_p c_ab^p x_p.
+    The defect of (i, j, k) is the sum over its cyclic orders (a, b, c) of
+    [[x_a, x_b], x_c] = sum_p c_ab^p [x_p, x_c].  A term of that sum can be
+    nonzero only if p is in the support of the table of (a, b) and the table of
+    (p, c) is nonempty, that is, c is a partner of p.  So a triple none of whose
+    cyclic orders arises that way (from a table key (a, b), a label p in its
+    support and a partner c of p outside {a, b}) has defect zero, and skipping
+    it loses no failure.  Swapping a and b only flips the sign of the table, so
+    the keys a < b suffice.
+    """
     labels = tuple(labels)
     sc = _clean_table("bracket", dim, labels, brackets)
     signed = {(j, i): {k: -c for k, c in table.items()} for (i, j), table in sc.items()} | sc
     partners: list[set[int]] = [set() for _ in range(dim)]
     for i, j in signed:
         partners[i].add(j)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            # a triple with no bracketing pair among (i, j), (i, k), (j, k) has zero defect
-            ks = range(j + 1, dim) if j in partners[i] else sorted(k for k in partners[i] | partners[j] if k > j)
-            for k in ks:
-                defect = _jacobi_defect(signed, i, j, k)
-                if defect:
-                    raise JacobiViolation((i, j, k), tuple(defect.get(q, ZERO) for q in range(dim)), labels)
+    triples = {
+        tuple(sorted((a, b, c)))
+        for (a, b), table in sc.items()
+        for p in table
+        for c in partners[p]
+        if c != a and c != b
+    }
+    for i, j, k in sorted(triples):
+        defect = _jacobi_defect(signed, i, j, k)
+        if defect:
+            raise JacobiViolation((i, j, k), tuple(defect.get(q, ZERO) for q in range(dim)), labels)
     return LieAlgebra(dim, labels, sc)
 
 
@@ -691,12 +708,13 @@ def tensor_commutative(a: ProductAlgebra, m: LieAlgebra) -> LieAlgebra:
 # Algebra file format (strict, structured JSON text)
 # ---------------------------------------------------------------------------
 
-_RAT_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
-_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.~'*+-]*$")
+# ASCII classes, matched with fullmatch: \d takes other scripts' digits and $ a trailing newline
+_RAT_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
+_LABEL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.~'*+-]*")
 
 
 def _parse_rat(text: str, location: str) -> Fraction:
-    if not isinstance(text, str) or not _RAT_RE.match(text):
+    if not isinstance(text, str) or not _RAT_RE.fullmatch(text):
         raise ParseError(f"malformed rational {text!r}", location)
     return Fraction(text)
 
@@ -716,13 +734,13 @@ def _parse_header(obj: dict, kind_field: str) -> tuple[str, int, tuple[str, ...]
     if not isinstance(name, str):
         raise ParseError("field 'name' must be a string", "name")
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if type(dim) is not int or dim < 0:
         raise ParseError("field 'dim' must be a nonnegative integer", "dim")
     basis = obj.get("basis")
     if not isinstance(basis, list) or len(basis) != dim:
         raise ParseError("field 'basis' must be an array of dim labels", "basis")
     for idx, lb in enumerate(basis):
-        if not isinstance(lb, str) or not _LABEL_RE.match(lb):
+        if not isinstance(lb, str) or not _LABEL_RE.fullmatch(lb):
             raise ParseError(f"bad basis label {lb!r}", f"basis[{idx}]")
     if len(set(basis)) != dim:
         raise ParseError("basis labels must be distinct", "basis")
@@ -837,7 +855,7 @@ def serialize_product_algebra(a: ProductAlgebra, name: str = "algebra") -> str:
 # Span expressions ("a", "a-b", "1/2*c", ...)
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"\s*([+-])?\s*(?:(\d+(?:/\d+)?)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_.~']*)\s*")
+_TERM_RE = re.compile(r"\s*([+-])?\s*(?:([0-9]+(?:/[1-9][0-9]*)?)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_.~']*)\s*")
 
 
 def parse_vector_expr(L: LieAlgebra, expr: str) -> Vector:

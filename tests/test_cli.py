@@ -285,6 +285,13 @@ class TestErrors:
         assert code == 2
         assert_error_line(out, "cp-check")
 
+    def test_zero_denominator_in_span(self, diamond_file):
+        # was an uncaught ZeroDivisionError with exit 1, the verified negative
+        code, out = run(["cp-check", diamond_file, "--span", "1/0*z", "--json"])
+        assert code == 2
+        assert_error_line(out, "cp-check")
+        assert json.loads(out)["error"] == "cannot parse span expression '1/0*z' at offset 0"
+
     def test_non_string_bracket_label(self, tmp_path):
         # ParseError for an lhs that is a JSON array, not a label
         path = tmp_path / "bad.alg"

@@ -434,6 +434,29 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             parse_algebra(text)
 
+    @pytest.mark.parametrize(
+        "changes, message, location",
+        [
+            ({"dim": True}, "field 'dim' must be a nonnegative integer", "dim"),  # was dimension 1
+            ({"basis": ["x\n", "y"]}, "bad basis label 'x\\n'", "basis[0]"),
+            ({"terms": {"y": "3\n"}}, "malformed rational '3\\n'", "brackets[0].y"),
+            # an Arabic-Indic three, which \d and Fraction both take for 3
+            ({"terms": {"y": "\u0663"}}, "malformed rational '\u0663'", "brackets[0].y"),
+        ],
+    )
+    def test_non_strict_input_rejected(self, changes, message, location):
+        import json
+
+        def text(dim=2, basis=("x", "y"), terms={"y": "3"}):
+            brackets = [{"lhs": "x", "rhs": "y", "terms": terms}]
+            return json.dumps({"name": "ok", "dim": dim, "basis": list(basis), "brackets": brackets})
+
+        assert parse_algebra(text()).sc == {(0, 1): {1: F(3)}}
+        with pytest.raises(ParseError) as err:
+            parse_algebra(text(**changes))
+        assert err.value.location == location
+        assert str(err.value) == f"{message} at {location}"
+
     def test_wrong_pair_order(self):
         bad = {
             "name": "bad",
@@ -561,6 +584,12 @@ class TestSpanParsing:
         with pytest.raises(ParseError):
             parse_vector_expr(diamond(), "x ! y")
 
+    @pytest.mark.parametrize("expr", ["1/0*z", "x+2/0*y", "3/00*z"])
+    def test_zero_denominator(self, expr):
+        # was an uncaught ZeroDivisionError from Fraction
+        with pytest.raises(ParseError):
+            parse_vector_expr(diamond(), expr)
+
 
 class TestFunctional:
     def test_application(self):
@@ -600,11 +629,15 @@ class TestScalingProperties:
 # Sparse bracket and Jacobi check against dense references
 # ---------------------------------------------------------------------------
 
-from liecp import catalog
-from liecp.parabolic import CompositionA, nilradical_A
+from itertools import combinations
 
+from liecp import catalog, liealg
+from liecp.liealg import _jacobi_defect
+from liecp.parabolic import CompositionA, borel_data_classical, nilradical_A
+
+_CATALOG_ALGEBRAS = [catalog.get(name) for name in catalog.names()]
 # the catalog and the dim-21 type-A nilradical of the composition 1^7
-_REFERENCE_ALGEBRAS = [catalog.get(name) for name in catalog.names()] + [nilradical_A(CompositionA((1,) * 7))[0]]
+_REFERENCE_ALGEBRAS = _CATALOG_ALGEBRAS + [nilradical_A(CompositionA((1,) * 7))[0]]
 
 
 def dense_bracket(L, u, v):
@@ -667,7 +700,7 @@ class TestSparseAgainstDense:
                 u, v = L.basis_vector(i), L.basis_vector(j)
                 assert L.bracket(u, v) == dense_bracket(L, u, v)
 
-    @given(st.integers(3, 5).flatmap(lambda dim: st.tuples(st.just(dim), _tables(dim))))
+    @given(st.integers(3, 7).flatmap(lambda dim: st.tuples(st.just(dim), _tables(dim))))
     def test_jacobi_check_matches_dense_check(self, case):
         dim, table = case
         sc = {key: {k: F(c) for k, c in terms.items() if c} for key, terms in table.items()}
@@ -691,3 +724,56 @@ class TestSparseAgainstDense:
         assert info.value.defect == (F(0), F(-1), F(0), F(0), F(0))
         sc = {key: {k: F(c) for k, c in terms.items()} for key, terms in table.items()}
         assert dense_jacobi_failure(5, sc) == ((1, 2, 4), info.value.defect)
+
+    @given(st.data())
+    def test_perturbed_catalog_algebra_matches_dense_check(self, data):
+        # change one coefficient of a catalog algebra, or add or drop one term
+        L = data.draw(st.sampled_from(_CATALOG_ALGEBRAS))
+        pair = data.draw(st.sampled_from(list(combinations(range(L.dim), 2))))
+        sc = {key: dict(table) for key, table in L.sc.items()}
+        table = sc.setdefault(pair, {})
+        k = data.draw(st.integers(0, L.dim - 1))
+        c = data.draw(st.sampled_from([F(0), F(-1), F(1, 2), F(2)]).filter(lambda c: c != table.get(k, 0)))
+        table[k] = c
+        brackets = {key: terms for key, terms in sc.items() if any(terms.values())}
+        sc = {key: {q: x for q, x in terms.items() if x} for key, terms in brackets.items()}
+        expected = dense_jacobi_failure(L.dim, sc)
+        if expected is None:
+            assert new_lie_algebra(L.dim, L.labels, brackets).sc == sc
+        else:
+            with pytest.raises(JacobiViolation) as info:
+                new_lie_algebra(L.dim, L.labels, brackets)
+            assert (info.value.triple, info.value.defect) == expected
+
+
+def _triples_with_a_double_bracket(L):
+    """The triples i < j < k where some cyclic [[x_a, x_b], x_c] has a term in the tables."""
+    return [
+        (i, j, k)
+        for i, j, k in combinations(range(L.dim), 3)
+        if any(L.bracket_table(p, c) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) for p in L.bracket_table(a, b))
+    ]
+
+
+_VISIT_ALGEBRAS = _CATALOG_ALGEBRAS + [nilradical_A(CompositionA((1,) * 10))[0]] + [
+    borel_data_classical(family, rank)[1] for family, rank in (("A", 7), ("B", 5), ("C", 5), ("D", 5))
+]
+
+
+def test_jacobi_check_visits_exactly_the_triples_with_a_double_bracket(monkeypatch):
+    visited = []
+
+    def recording(signed, i, j, k):
+        visited.append((i, j, k))
+        return _jacobi_defect(signed, i, j, k)
+
+    monkeypatch.setattr(liealg, "_jacobi_defect", recording)
+    counts = []
+    for L in _VISIT_ALGEBRAS:
+        visited.clear()
+        assert new_lie_algebra(L.dim, L.labels, L.sc) == L
+        assert visited == _triples_with_a_double_bracket(L)
+        counts.append(len(visited))
+    # of C(45, 3) = 14190 triples on the 1^10 nilradical, C(35, 3) on the A7 Borel, C(25, 3) on the D5 Borel
+    assert [L.dim for L in _VISIT_ALGEBRAS[-5:]] == [45, 35, 30, 30, 25]
+    assert (counts[-5], counts[-4], counts[-1]) == (210, 430, 190)
