@@ -1,6 +1,6 @@
 """Exact-arithmetic Lie algebra invariants and commutative polarizations."""
 
-from .exactla import QMatrix, LinFormMatrix, RankPolicy, DEFAULT_POLICY, generic_rank, rank_exact
+from .exactla import LinFormMatrix, RankPolicy, DEFAULT_POLICY, generic_rank, rank_exact
 from .liealg import (
     LieAlgebra,
     Subspace,
@@ -15,7 +15,6 @@ from .liealg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QMatrix",
     "LinFormMatrix",
     "RankPolicy",
     "DEFAULT_POLICY",

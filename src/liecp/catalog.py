@@ -21,7 +21,7 @@ from importlib import resources
 from typing import Callable, Mapping
 
 from .errors import MissingParameter, UnknownEntry
-from .exactla import DEFAULT_POLICY, QMatrix, RankPolicy
+from .exactla import DEFAULT_POLICY, ONE, RankPolicy
 from .cp import FORM_KIND, FSR_KIND, is_cp, no_cp_certificate, verify_no_cp_certificate
 from .index import index, is_frobenius, is_square_integrable
 from .liealg import (
@@ -103,7 +103,7 @@ def _nonabelian2d() -> LieAlgebra:
 
 def _id_ext(n: int) -> LieAlgebra:
     base = new_lie_algebra(n, tuple(f"v{i + 1}" for i in range(n)), {})
-    return derivation_extend(base, QMatrix.identity(n), new_label="E")
+    return derivation_extend(base, {(i, i): ONE for i in range(n)}, new_label="E")
 
 
 def _diamond() -> LieAlgebra:

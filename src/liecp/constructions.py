@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import InconsistentConditions, NoUnit, NotCommutativeIdeal
 from .exactla import (
     DEFAULT_POLICY,
     ONE,
-    ZERO,
     LinFormMatrix,
-    QMatrix,
     RankPolicy,
     evaluate,
     generic_rank,
-    kernel,
     random_point,
+    rank_exact,
 )
 from .cp import is_cp
 from .index import index
@@ -34,7 +33,9 @@ from .liealg import (
     AssocAlgebra,
     LieAlgebra,
     LSAAlgebra,
+    SparseMat,
     Subspace,
+    _as_matrix,
     is_abelian,
     is_ideal,
     left_mult_action,
@@ -63,26 +64,30 @@ def _module_subspace(L: LieAlgebra, dim_g: int) -> Subspace:
     return Subspace.span(L.dim, [{k: ONE} for k in range(dim_g, L.dim)])
 
 
-def _action_form_matrix(action: Sequence[QMatrix], dim_g: int, dim_v: int) -> LinFormMatrix:
-    """dim g x dim V matrix of f(x_i v_j) with f symbolic on V."""
-    def entry(i: int, j: int):
-        return {k: action[i].entries[k][j] for k in range(dim_v) if action[i].entries[k][j]}
-
-    return LinFormMatrix.build(dim_g, dim_v, dim_v, entry)
+def _action_form_matrix(action: Sequence[SparseMat], dim_g: int, dim_v: int) -> LinFormMatrix:
+    """dim g x dim V matrix of f(x_i v_j) = sum_k (A_i)_kj f_k with f symbolic on V."""
+    rows = []
+    for m in action:
+        row: dict[int, dict[int, Fraction]] = {}
+        for (k, j), c in m.items():
+            row.setdefault(j, {})[k] = c
+        rows.append(row)
+    return LinFormMatrix(dim_g, dim_v, dim_v, tuple(rows))
 
 
 def _stabilizer_vanishes_somewhere(form: LinFormMatrix, policy: RankPolicy) -> bool:
     """Sampled witness for: some functional on V has zero stabilizer in g.
 
     The stabilizer at a concrete f is the left kernel of the specialized
-    matrix, computed exactly; finding a witness is randomized but the
-    positive answer it gives is certain.  At least 16 points are drawn,
-    the witness floor of `cp._form_certificate`.
+    matrix, computed exactly: it is zero when the rows have full rank.
+    Finding a witness is randomized but the positive answer it gives is
+    certain.  At least 16 points are drawn, the witness floor of
+    `cp._form_certificate`.
     """
     rng = random.Random(policy.seed)
     for _ in range(max(policy.samples, 16)):
         specialized = evaluate(form, random_point(rng, form.nvars, policy.coeff_bound))
-        if not kernel(specialized.transpose()):
+        if rank_exact(specialized, form.cols) == form.rows:
             return True
     return False
 
@@ -102,9 +107,7 @@ def semidirect_cp_report(
     """
     if g.dim > dim_v:
         raise ValueError("requires dim g <= dim V")
-    action_mats = [
-        m if isinstance(m, QMatrix) else QMatrix.from_rows(m, dim_v) for m in action
-    ]
+    action_mats = [_as_matrix(m, dim_v) for m in action]
     L = semidirect_product(g, action_mats, dim_v, v_labels=v_labels)
     v = _module_subspace(L, g.dim)
     form = _action_form_matrix(action_mats, g.dim, dim_v)
@@ -161,10 +164,7 @@ def lsa_frobenius_report(
     """
     g, mats = lie_of_lsa(a)
     n = a.dim
-    dual_mats = [
-        QMatrix(n, n, tuple(tuple(-m.entries[j][i] for j in range(n)) for i in range(n)))
-        for m in mats
-    ]
+    dual_mats = [{(c, r): -x for (r, c), x in m.items()} for m in mats]
     L = semidirect_product(g, dual_mats, n, v_labels=tuple(f"d.{lb}" for lb in a.labels))
     v = _module_subspace(L, n)
     form = _action_form_matrix(dual_mats, n, n)
@@ -201,8 +201,9 @@ def abelianization_semidirect_check(
     q, qmap = quotient(L, v)
     # [x_c, h] = -[h, x_c] lies in V, so its coordinates are its pivot coordinates
     ad_rows = [L.ad_columns(row) for row in v.rows]
+    position = {p: i for i, p in enumerate(v.pivots)}
     action = [
-        QMatrix(v.dim, v.dim, tuple(tuple(-ad[c].get(p, ZERO) for ad in ad_rows) for p in v.pivots))
+        {(position[p], j): -x for j, ad in enumerate(ad_rows) for p, x in ad[c].items() if p in position}
         for c in qmap.complement
     ]
     flat_labels = tuple(f"w{j + 1}" for j in range(v.dim))

@@ -57,7 +57,7 @@ from .exactla import (
     RankPolicy,
     evaluate,
     generic_rank,
-    kernel_of_rows,
+    kernel,
     random_point,
     rank_exact,
 )
@@ -110,7 +110,8 @@ class CPReport:
 
 def pairing_matrix(L: LieAlgebra, p: Subspace) -> LinFormMatrix:
     """dim P x dim L matrix of linear forms expanding [h_i, x_j] in dual coordinates."""
-    return LinFormMatrix(p.dim, L.dim, L.dim, tuple(tuple(L.ad_columns(row)) for row in p.rows))
+    rows = [{j: col for j, col in enumerate(L.ad_columns(row)) if col} for row in p.rows]
+    return LinFormMatrix(p.dim, L.dim, L.dim, tuple(rows))
 
 
 def is_cp(L: LieAlgebra, p: Subspace, policy: RankPolicy = DEFAULT_POLICY) -> CPReport:
@@ -157,7 +158,7 @@ def perp_of(L: LieAlgebra, p: Subspace, f: Functional) -> Subspace:
         for a, x in h.items():
             _accumulate(row, bf[a], x)
         rows.append(row)
-    return Subspace(L.dim, tuple(kernel_of_rows(rows, L.dim, sparse=True)))
+    return Subspace(L.dim, tuple(kernel(rows, L.dim, sparse=True)))
 
 
 def cp_witness_functional(
@@ -215,7 +216,7 @@ def _form_certificate(L: LieAlgebra, policy: RankPolicy) -> NoCPCertificate | No
     rng = random.Random(policy.seed)
     for _ in range(max(policy.samples, 16)):
         point = random_point(rng, family.nvars, policy.coeff_bound)
-        if rank_exact(evaluate(family, point)) == L.dim:
+        if rank_exact(evaluate(family, point), L.dim) == L.dim:
             return NoCPCertificate(FORM_KIND, form_point=point)
     return None
 
@@ -261,17 +262,20 @@ def verify_no_cp_certificate(
         if cert.form_point is None or len(cert.form_point) != family.nvars:
             return False
         b = evaluate(family, cert.form_point)
-        if rank_exact(b) != L.dim:
+        symmetric = all(b[j].get(i) == x for i, row in enumerate(b) for j, x in row.items())
+        if not symmetric or rank_exact(b, L.dim) != L.dim:
             return False
         for i in range(L.dim):
-            for j in range(L.dim):
-                if b.entries[i][j] != b.entries[j][i]:
-                    return False
-                for k in range(L.dim):
-                    lhs = sum((c * b.entries[p][k] for p, c in L.bracket_table(i, j).items()), ZERO)
-                    rhs = sum((c * b.entries[j][p] for p, c in L.bracket_table(i, k).items()), ZERO)
-                    if lhs + rhs != 0:
-                        return False
+            # b([x_i, x_j], x_k) + b(x_j, [x_i, x_k]) = 0 for every j, k says that B A + (B A)^T = 0
+            # for symmetric B and A = ad x_i, whose column k is [x_i, x_k]
+            ba: list[dict[int, Fraction]] = [{} for _ in range(L.dim)]
+            for k, col in enumerate(L.ad_columns({i: ONE})):
+                for j, row in enumerate(b):
+                    v = sum([row[p] * c for p, c in col.items() if p in row], ZERO)
+                    if v:
+                        ba[j][k] = v
+            if any(ba[k].get(j) != -x for j, row in enumerate(ba) for k, x in row.items()):
+                return False
         return not is_abelian(L, Subspace.full(L.dim))
     return False
 

@@ -6,9 +6,11 @@ row, a dense sequence or a {col: value} mapping, is cleared of
 denominators by their lcm into a primitive {col: int} and reduced at its
 lowest column against the pivot row there.  Pivot columns, and so the
 reduced echelon form, depend only on the row space, not on row order.
-`rank_of_rows` counts the pivots; `rref` back-substitutes on the sparse
-rows and returns them sparse or dense; `kernel_of_rows` and the subspace
-calculus in `liealg`, which keeps them sparse, use `rref`.
+`rank_exact` counts the pivots; `rref` back-substitutes on the sparse
+rows and returns them sparse or dense; `kernel` and the subspace calculus
+in `liealg`, which keeps them sparse, use `rref`.  There is no dense
+matrix type: a matrix of linear forms keeps one {col: form} mapping per
+row, and `evaluate` turns it into {col: value} rows.
 
 Rank over the field of rational functions in several variables
 (`generic_rank`) takes the first of these routes that settles it.
@@ -69,65 +71,6 @@ def format_rat(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-# ---------------------------------------------------------------------------
-# Dense rational matrices
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense matrix of rationals; immutable after construction."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry count must equal rows x cols")
-
-    @staticmethod
-    def from_rows(rows: Iterable[VecLike], cols: int | None = None) -> QMatrix:
-        data = tuple(as_vector(r) for r in rows)
-        if cols is None:
-            if not data:
-                raise ValueError("cols is required for an empty row list")
-            cols = len(data[0])
-        return QMatrix(len(data), cols, data)
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> QMatrix:
-        return QMatrix(rows, cols, tuple((ZERO,) * cols for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> QMatrix:
-        return QMatrix(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
-    def transpose(self) -> QMatrix:
-        data = tuple([tuple([self.entries[i][j] for i in range(self.rows)]) for j in range(self.cols)])
-        return QMatrix(self.cols, self.rows, data)
-
-    def mul_vector(self, v: VecLike) -> tuple[Fraction, ...]:
-        vv = as_vector(v)
-        if len(vv) != self.cols:
-            raise ValueError("vector length must equal cols")
-        nonzero = [(j, x) for j, x in enumerate(vv) if x]
-        return tuple(sum((row[j] * x for j, x in nonzero), ZERO) for row in self.entries)
-
-    def matmul(self, other: QMatrix) -> QMatrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose()
-        data = tuple(
-            tuple(sum((a * b for a, b in zip(row, col)), ZERO) for col in ot.entries)
-            for row in self.entries
-        )
-        return QMatrix(self.rows, other.cols, data)
 
 
 def _primitive(row: Row) -> Row | None:
@@ -200,17 +143,12 @@ def rref(rows: Iterable[RowLike], cols: int, sparse: bool = False) -> tuple[list
     return (out if sparse else [[row.get(j, ZERO) for j in range(cols)] for row in out]), pivots
 
 
-def rank_of_rows(rows: Iterable[RowLike], cols: int) -> int:
+def rank_exact(rows: Iterable[RowLike], cols: int) -> int:
     """Rank over the rationals of rows, dense or {col: value}: the pivot count of `_echelon`."""
     return len(_echelon(rows, cols))
 
 
-def rank_exact(m: QMatrix) -> int:
-    """Rank over the rationals of a dense matrix."""
-    return rank_of_rows(m.entries, m.cols)
-
-
-def kernel_of_rows(rows: Iterable[RowLike], cols: int, sparse: bool = False) -> list:
+def kernel(rows: Iterable[RowLike], cols: int, sparse: bool = False) -> list:
     """Reduced-echelon basis of {v : r . v = 0 for every row r}, rows dense or {col: value}.
 
     Each free column c gives a null vector, as a mapping: 1 at c, -red[i][c] at red[i]'s pivot.
@@ -220,11 +158,6 @@ def kernel_of_rows(rows: Iterable[RowLike], cols: int, sparse: bool = False) -> 
     null = [{c: ONE} | {p: -row[c] for row, p in zip(red, pivots) if c in row} for c in free]
     basis, _ = rref(null, cols, sparse)
     return basis if sparse else [tuple(r) for r in basis]
-
-
-def kernel(m: QMatrix) -> list[tuple[Fraction, ...]]:
-    """Reduced-echelon basis of the right null space {v : m v = 0}."""
-    return kernel_of_rows(m.entries, m.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -297,37 +230,44 @@ LinForm = Mapping[int, Fraction]
 
 @dataclass(frozen=True)
 class LinFormMatrix:
-    """Matrix whose entries are linear forms (no constant term) in nvars symbols."""
+    """Matrix whose entries are linear forms (no constant term) in nvars symbols.
+
+    `entries` holds one {col: form} mapping per row; a form maps a variable
+    index to its nonzero coefficient, and zero entries are left out."""
 
     rows: int
     cols: int
     nvars: int
-    entries: tuple[tuple[LinForm, ...], ...]
+    entries: tuple[Mapping[int, LinForm], ...]
 
     def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry count must equal rows x cols")
+        if len(self.entries) != self.rows or any(not 0 <= j < self.cols for r in self.entries for j in r):
+            raise ValueError("entries must be one {col: form} row per row, with columns in range(cols)")
 
     @staticmethod
     def build(rows: int, cols: int, nvars: int, entry) -> LinFormMatrix:
         """entry(i, j) returns a mapping var-index -> coefficient."""
-        data = tuple([
-            tuple([{k: Fraction(c) for k, c in entry(i, j).items() if c} for j in range(cols)])
-            for i in range(rows)
-        ])
-        return LinFormMatrix(rows, cols, nvars, data)
+        data = []
+        for i in range(rows):
+            forms = ((j, {k: Fraction(c) for k, c in entry(i, j).items() if c}) for j in range(cols))
+            data.append({j: form for j, form in forms if form})
+        return LinFormMatrix(rows, cols, nvars, tuple(data))
 
 
-def evaluate(m: LinFormMatrix, point: VecLike) -> QMatrix:
-    """Specialize every linear form at the given point."""
+def evaluate(m: LinFormMatrix, point: VecLike) -> list[dict[int, Fraction]]:
+    """Every linear form specialized at the given point: one {col: value} row per row, without zeros."""
     pt = as_vector(point)
     if len(pt) != m.nvars:
         raise ValueError("point length must equal nvars")
-    data = tuple([
-        tuple([sum((c * pt[k] for k, c in form.items()), ZERO) for form in row])
-        for row in m.entries
-    ])
-    return QMatrix(m.rows, m.cols, data)
+    out = []
+    for row in m.entries:
+        values = {}
+        for j, form in row.items():
+            v = sum([c * pt[k] for k, c in form.items()], ZERO)
+            if v:
+                values[j] = v
+        out.append(values)
+    return out
 
 
 @dataclass(frozen=True)
@@ -365,7 +305,7 @@ class RankResult(NamedTuple):
 
 
 def _symbolic_rank(m: LinFormMatrix) -> int:
-    """Fraction-free (Bareiss) elimination over Z[x].
+    """Fraction-free (Bareiss) elimination over Z[x], on a dense working array built from m's rows.
 
     Each row is scaled by the lcm of its coefficient denominators, which
     keeps the rank and every entry's term count.  Pivot selection:
@@ -381,8 +321,11 @@ def _symbolic_rank(m: LinFormMatrix) -> int:
     guard = sum(var) << (width - 1)
     a = []
     for row in m.entries:
-        den = lcm(*(c.denominator for form in row for c in form.values()))
-        a.append([{var[k]: c.numerator * (den // c.denominator) for k, c in form.items()} for form in row])
+        den = lcm(*(c.denominator for form in row.values() for c in form.values()))
+        dense: list[dict[int, int]] = [{}] * nc  # entries are replaced below, never changed in place
+        for j, form in row.items():
+            dense[j] = {var[k]: c.numerator * (den // c.denominator) for k, c in form.items()}
+        a.append(dense)
     rank = 0
     prev: dict[int, int] | None = None
     while rank < min(nr, nc):
@@ -424,7 +367,7 @@ def term_rank(m: LinFormMatrix) -> int:
     over any field never exceeds its term rank.  Each row in turn searches
     breadth-first for an augmenting path.
     """
-    support = [[j for j, form in enumerate(row) if form] for row in m.entries]
+    support = [sorted(row) for row in m.entries]
     row_of = [-1] * m.cols
     col_of = [-1] * m.rows
     size = 0
@@ -456,8 +399,8 @@ def is_alternating(m: LinFormMatrix) -> bool:
     """m is square with zero diagonal and m[j][i] = -m[i][j] for every entry."""
     e = m.entries
     return m.rows == m.cols and all(
-        not e[i][i] and all(e[j][i] == {k: -c for k, c in e[i][j].items()} for j in range(i))
-        for i in range(m.rows)
+        i not in row and all(e[j].get(i) == {k: -c for k, c in form.items()} for j, form in row.items())
+        for i, row in enumerate(e)
     )
 
 
@@ -501,7 +444,7 @@ def generic_rank(
     best, best_point = -1, ()
     for _ in range(1 if policy.certify else policy.samples):
         point = random_point(rng, m.nvars, policy.coeff_bound)
-        r = rank_exact(evaluate(m, point))
+        r = rank_exact(evaluate(m, point), m.cols)
         if r == bound:
             return RankResult(r, True)
         if r > best:

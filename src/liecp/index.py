@@ -28,9 +28,9 @@ from .exactla import (
     _symbolic_rank,
     evaluate,
     generic_rank,
-    kernel_of_rows,
+    kernel,
     random_point,
-    rank_of_rows,
+    rank_exact,
 )
 from .liealg import Functional, LieAlgebra, Subspace, center
 
@@ -44,8 +44,12 @@ class IndexReport:
 
 
 def bracket_matrix(L: LieAlgebra) -> LinFormMatrix:
-    """n x n matrix with entry (i, j) = sum_k c_ij^k t_k."""
-    return LinFormMatrix.build(L.dim, L.dim, L.dim, lambda i, j: L.bracket_table(i, j))
+    """n x n matrix with entry (i, j) = sum_k c_ij^k t_k, filled from the structure constants in one pass."""
+    rows: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(L.dim)]
+    for (i, j), table in L.sc.items():
+        rows[i][j] = dict(table)
+        rows[j][i] = {k: -c for k, c in table.items()}
+    return LinFormMatrix(L.dim, L.dim, L.dim, tuple(rows))
 
 
 def _spans_off_slice(m: LinFormMatrix, point: Sequence[Fraction], t: Sequence[int]) -> bool:
@@ -55,11 +59,11 @@ def _spans_off_slice(m: LinFormMatrix, point: Sequence[Fraction], t: Sequence[in
     """
     xi0 = {k: point[k] for k in t}
     outside = [
-        {j: sum([c * xi0[k] for k, c in form.items() if k in xi0], ZERO) for j, form in enumerate(row) if form}
+        {j: sum([c * xi0[k] for k, c in form.items() if k in xi0], ZERO) for j, form in row.items()}
         for i, row in enumerate(m.entries)
         if i not in xi0
     ]
-    return rank_of_rows(outside, m.cols) == len(outside)
+    return rank_exact(outside, m.cols) == len(outside)
 
 
 def slice_coordinates(m: LinFormMatrix, point: Sequence[Fraction]) -> list[int]:
@@ -71,7 +75,11 @@ def slice_coordinates(m: LinFormMatrix, point: Sequence[Fraction]) -> list[int]:
     removal keeps it.  All coordinates always pass.
     """
     n = m.rows
-    independent = _echelon(evaluate(m, point).transpose().entries, n)
+    columns: list[dict[int, Fraction]] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(evaluate(m, point)):
+        for j, x in row.items():
+            columns[j][i] = x
+    independent = _echelon(columns, n)
     t = [k for k in range(n) if k not in independent]
     spare = [k for k in range(n) if k in independent]
     while not _spans_off_slice(m, point, t):
@@ -86,9 +94,11 @@ def slice_coordinates(m: LinFormMatrix, point: Sequence[Fraction]) -> list[int]:
 def slice_matrix(m: LinFormMatrix, t: Sequence[int]) -> LinFormMatrix:
     """m on {xi : xi_k = 0 for k not in t}, in the |t| variables of t in order."""
     var = {k: v for v, k in enumerate(t)}
-    return LinFormMatrix.build(
-        m.rows, m.cols, len(t), lambda i, j: {var[k]: c for k, c in m.entries[i][j].items() if k in var}
-    )
+    rows = []
+    for row in m.entries:
+        forms = ((j, {var[k]: c for k, c in form.items() if k in var}) for j, form in row.items())
+        rows.append({j: form for j, form in forms if form})
+    return LinFormMatrix(m.rows, m.cols, len(t), tuple(rows))
 
 
 def slice_rank(m: LinFormMatrix, point: Sequence[Fraction]) -> int:
@@ -143,7 +153,7 @@ def _bf_rows(L: LieAlgebra, f: Functional) -> list[dict[int, Fraction]]:
 
 def stabilizer(L: LieAlgebra, f: Functional) -> Subspace:
     """Kernel of B_f; contains the center for every f."""
-    return Subspace(L.dim, tuple(kernel_of_rows(_bf_rows(L, f), L.dim, sparse=True)))
+    return Subspace(L.dim, tuple(kernel(_bf_rows(L, f), L.dim, sparse=True)))
 
 
 def _draw_regular(
@@ -254,7 +264,7 @@ def _build_invariant_forms(L: LieAlgebra) -> LinFormMatrix:
                 for p, c in ad_i[k].items():
                     row[_sym_index(n, j, p)] += c
                 rows.append(row)
-    basis = kernel_of_rows(rows, unknowns)
+    basis = kernel(rows, unknowns)
     nvars = len(basis)
 
     def entry(p: int, q: int):

@@ -38,10 +38,11 @@ from .errors import (
     ParseError,
     ZeroVector,
 )
-from .exactla import ONE, ZERO, QMatrix, RowLike, VecLike, as_vector, format_rat, kernel_of_rows, rref
+from .exactla import ONE, ZERO, RowLike, VecLike, as_vector, format_rat, kernel, rref
 
 Vector = tuple[Fraction, ...]
 SparseVector = dict[int, Fraction]  # nonzero coordinates by basis index
+SparseMat = dict[tuple[int, int], Fraction]  # a matrix: nonzero entries by (row, col)
 ScTable = Mapping[int, Fraction]
 
 
@@ -164,7 +165,7 @@ class Subspace:
         residuals = [other._reduce(dict(row)) for row in self.rows]
         equations = [{i: r[j] for i, r in enumerate(residuals) if j in r} for j in range(self.ambient_dim)]
         vectors = []
-        for sol in kernel_of_rows(equations, self.dim, sparse=True):
+        for sol in kernel(equations, self.dim, sparse=True):
             acc: SparseVector = {}
             for i, a in sol.items():
                 _accumulate(acc, self.rows[i], a)
@@ -241,10 +242,10 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vector:
         return _dense({i: ONE}, self.dim)
 
-    def ad(self, v: VecLike) -> QMatrix:
+    def ad(self, v: VecLike) -> SparseMat:
         """Matrix of w -> [v, w] in the basis (columns are [v, x_j])."""
         cols = self.ad_columns(_sparse_vector(v, self.dim))
-        return QMatrix(self.dim, self.dim, tuple(_dense(c, self.dim) for c in cols)).transpose()
+        return {(k, j): c for j, col in enumerate(cols) for k, c in col.items()}
 
     def subspace(self, vectors: Iterable[VecLike]) -> Subspace:
         return Subspace.span(self.dim, vectors)
@@ -366,7 +367,7 @@ def center(L: LieAlgebra) -> Subspace:
         for k, c in table.items():
             rows[j, k][i] += c
             rows[i, k][j] -= c
-    return Subspace(L.dim, tuple(kernel_of_rows(rows.values(), L.dim, sparse=True)))
+    return Subspace(L.dim, tuple(kernel(rows.values(), L.dim, sparse=True)))
 
 
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
@@ -377,7 +378,7 @@ def centralizer(L: LieAlgebra, u: VecLike) -> Subspace:
     """Kernel of v -> [v, u], which is the kernel of ad u: row k of ad u is {j: [u, x_j]_k}."""
     cols = L.ad_columns(_sparse_vector(u, L.dim))
     rows = [{j: col[k] for j, col in enumerate(cols) if k in col} for k in range(L.dim)]
-    return Subspace(L.dim, tuple(kernel_of_rows(rows, L.dim, sparse=True)))
+    return Subspace(L.dim, tuple(kernel(rows, L.dim, sparse=True)))
 
 
 def is_abelian(L: LieAlgebra, s: Subspace) -> bool:
@@ -474,12 +475,47 @@ def direct_product(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:
     return new_lie_algebra(l1.dim + l2.dim, labels, brackets)
 
 
-def _as_matrix(m, size: int) -> QMatrix:
-    if isinstance(m, QMatrix):
-        if m.rows != size or m.cols != size:
-            raise ValueError("action matrix has the wrong shape")
-        return m
-    return QMatrix.from_rows([as_vector(row) for row in m], size)
+def _as_matrix(m, size: int) -> SparseMat:
+    """A size x size matrix, given as {(row, col): value} or as a list of rows, as {(row, col): Fraction}."""
+    if isinstance(m, Mapping):
+        square = all(0 <= r < size and 0 <= c < size for r, c in m)
+    else:
+        square = len(m) == size and all(len(row) == size for row in m)
+        m = {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row)}
+    if not square:
+        raise ValueError(f"matrix has the wrong shape: expected {size} x {size}")
+    return {pos: x if type(x) is Fraction else Fraction(x) for pos, x in m.items() if x}
+
+
+def _mat_add(m1: SparseMat, m2: SparseMat, c: Fraction = ONE) -> SparseMat:
+    """m1 + c * m2."""
+    out = dict(m1)
+    for pos, v in m2.items():
+        w = out.get(pos, ZERO) + c * v
+        if w:
+            out[pos] = w
+        else:
+            out.pop(pos, None)
+    return out
+
+
+def _mat_commutator(m1: SparseMat, m2: SparseMat) -> SparseMat:
+    out: SparseMat = {}
+    for (a1, b1), v1 in m1.items():
+        for (a2, b2), v2 in m2.items():
+            if b1 == a2:
+                w = out.get((a1, b2), ZERO) + v1 * v2
+                if w:
+                    out[(a1, b2)] = w
+                else:
+                    out.pop((a1, b2), None)
+            if b2 == a1:
+                w = out.get((a2, b1), ZERO) - v1 * v2
+                if w:
+                    out[(a2, b1)] = w
+                else:
+                    out.pop((a2, b1), None)
+    return out
 
 
 def semidirect_product(
@@ -496,18 +532,13 @@ def semidirect_product(
     mats = [_as_matrix(m, dim_v) for m in action]
     if len(mats) != g.dim:
         raise ValueError("one action matrix per basis element of g is required")
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            commutator = mats[i].matmul(mats[j]).entries
-            reverse = mats[j].matmul(mats[i]).entries
-            expected = [[commutator[a][b] - reverse[a][b] for b in range(dim_v)] for a in range(dim_v)]
-            acc = [[ZERO] * dim_v for _ in range(dim_v)]
-            for k, c in g.bracket_table(i, j).items():
-                for a in range(dim_v):
-                    for b in range(dim_v):
-                        acc[a][b] += c * mats[k].entries[a][b]
-            if acc != expected:
-                raise NotARepresentation(f"action fails on basis pair ({g.labels[i]}, {g.labels[j]})")
+    for i, j in combinations(range(g.dim), 2):
+        # [A_i, A_j] - sum_k c_ij^k A_k must vanish
+        rest = _mat_commutator(mats[i], mats[j])
+        for k, c in g.sc.get((i, j), {}).items():
+            rest = _mat_add(rest, mats[k], -c)
+        if rest:
+            raise NotARepresentation(f"action fails on basis pair ({g.labels[i]}, {g.labels[j]})")
     if v_labels is None:
         v_labels = tuple(f"v{j + 1}" for j in range(dim_v))
     v_labels = tuple(v_labels)
@@ -515,33 +546,33 @@ def semidirect_product(
         raise ValueError("module labels collide with algebra labels")
     labels = g.labels + v_labels
     brackets = dict(g.sc)
-    for i in range(g.dim):
-        for j in range(dim_v):
-            brackets[(i, g.dim + j)] = {g.dim + k: mats[i].entries[k][j] for k in range(dim_v)}
+    for i, m in enumerate(mats):
+        # [x_i, v_j] = A_i v_j, column j of A_i
+        for (k, j), c in m.items():
+            brackets.setdefault((i, g.dim + j), {})[g.dim + k] = c
     return new_lie_algebra(g.dim + dim_v, labels, brackets)
 
 
 def derivation_extend(m: LieAlgebra, d, new_label: str = "d") -> LieAlgebra:
     """Extension by one outer element acting as the given derivation."""
-    dm = _as_matrix(d, m.dim)
-    images = [tuple(dm.entries[k][i] for k in range(m.dim)) for i in range(m.dim)]
-    for i in range(m.dim):
-        for j in range(i + 1, m.dim):
-            # d[x_i, x_j] = [d x_i, x_j] + [x_i, d x_j], including pairs with zero bracket
-            lhs = dm.mul_vector(m.bracket(m.basis_vector(i), m.basis_vector(j)))
-            rhs = tuple(
-                a + b
-                for a, b in zip(m.bracket(images[i], m.basis_vector(j)), m.bracket(m.basis_vector(i), images[j]))
-            )
-            if lhs != rhs:
-                raise NotADerivation(f"derivation identity fails on ({m.labels[i]}, {m.labels[j]})")
+    images: list[SparseVector] = [{} for _ in range(m.dim)]  # d(x_i), column i of d
+    for (k, i), c in _as_matrix(d, m.dim).items():
+        images[i][k] = c
+    for i, j in combinations(range(m.dim), 2):
+        # d[x_i, x_j] = [d x_i, x_j] + [x_i, d x_j], including pairs with zero bracket
+        defect = m.sparse_bracket(images[i], {j: ONE})
+        _accumulate(defect, m.sparse_bracket({i: ONE}, images[j]), ONE)
+        for p, c in m.sc.get((i, j), {}).items():
+            _accumulate(defect, images[p], -c)
+        if any(defect.values()):
+            raise NotADerivation(f"derivation identity fails on ({m.labels[i]}, {m.labels[j]})")
     if new_label in m.labels:
         raise ValueError("new label collides with an existing basis label")
     labels = m.labels + (new_label,)
     brackets = dict(m.sc)
     for i in range(m.dim):
         # stored as [x_i, d] = -d(x_i) to keep i < j ordering
-        brackets[(i, m.dim)] = {k: -c for k, c in enumerate(images[i])}
+        brackets[(i, m.dim)] = {k: -c for k, c in images[i].items()}
     return new_lie_algebra(m.dim + 1, labels, brackets)
 
 
@@ -661,16 +692,12 @@ def lie_of_associative(a: ProductAlgebra) -> LieAlgebra:
     return new_lie_algebra(a.dim, a.labels, brackets)
 
 
-def left_mult_action(a: ProductAlgebra) -> list[QMatrix]:
-    """Matrices of u -> (v -> uv), one per basis element."""
-    mats = []
-    for i in range(a.dim):
-        cols = tuple(a.product(a.basis_vector(i), a.basis_vector(j)) for j in range(a.dim))
-        mats.append(QMatrix(a.dim, a.dim, cols).transpose())
-    return mats
+def left_mult_action(a: ProductAlgebra) -> list[SparseMat]:
+    """Matrices of u -> (v -> uv), one per basis element: column j of the i-th is x_i x_j."""
+    return [{(k, j): c for j in range(a.dim) for k, c in a.sc.get((i, j), {}).items()} for i in range(a.dim)]
 
 
-def lie_of_lsa(a: ProductAlgebra) -> tuple[LieAlgebra, list[QMatrix]]:
+def lie_of_lsa(a: ProductAlgebra) -> tuple[LieAlgebra, list[SparseMat]]:
     """Commutator algebra of a left-symmetric product and its left-multiplication module."""
     return lie_of_associative(a), left_mult_action(a)
 
@@ -855,16 +882,29 @@ def serialize_product_algebra(a: ProductAlgebra, name: str = "algebra") -> str:
 # Span expressions ("a", "a-b", "1/2*c", ...)
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"\s*([+-])?\s*(?:([0-9]+(?:/[1-9][0-9]*)?)\s*\*\s*)?([A-Za-z_][A-Za-z0-9_.~']*)\s*")
+_COEFF = r"[0-9]+(?:/[1-9][0-9]*)?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_.~']*"  # a word that is no label, read whole so that it is reported
+
+
+def _term_re(labels: Sequence[str]) -> re.Pattern:
+    """One signed term of a span expression over these labels.
+
+    A label is read before a coefficient, so "1*y" is the label 1*y when there
+    is one.  Labels are tried longest first, and one counts only where
+    whitespace, a sign or the end follows it; otherwise the text is read as
+    a coefficient, "*" and a label."""
+    known = "|".join(re.escape(lb) for lb in sorted(labels, key=len, reverse=True)) or "(?!)"
+    return re.compile(rf"\s*([+-])?\s*(?:({_COEFF})\s*\*\s*)??((?:{known})(?=[\s+-]|\Z)|{_NAME})\s*")
 
 
 def parse_vector_expr(L: LieAlgebra, expr: str) -> Vector:
-    """Rational combination of basis labels, e.g. "a-b" or "x+1/2*y"."""
+    """Rational combination of basis labels, e.g. "a-b" or "x+1/2*y"; see `_term_re`."""
+    term = _term_re(L.labels)
     pos = 0
     acc = [ZERO] * L.dim
     seen = False
     while pos < len(expr):
-        m = _TERM_RE.match(expr, pos)
+        m = term.match(expr, pos)
         if not m or m.start() != pos:
             raise ParseError(f"cannot parse span expression {expr!r}", f"offset {pos}")
         sign, coeff, label = m.groups()

@@ -42,23 +42,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import InvalidComposition, UnsupportedType
-from .exactla import DEFAULT_POLICY, ONE, ZERO, RankPolicy, kernel_of_rows
+from .exactla import DEFAULT_POLICY, ONE, ZERO, RankPolicy, kernel
 from .cp import CPReport, is_cp, perp_of
 from .index import index, stabilizer
 from .liealg import (
     Functional,
     LieAlgebra,
+    SparseMat,
     Subspace,
+    _mat_add,
+    _mat_commutator,
     centralizer,
     is_abelian,
     new_lie_algebra,
     restrict,
 )
-
-SparseMat = dict[tuple[int, int], Fraction]
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +68,19 @@ SparseMat = dict[tuple[int, int], Fraction]
 # ---------------------------------------------------------------------------
 
 
+class _Blocks:
+    """The block of each coordinate, computed once per composition."""
+
+    parts: tuple[int, ...]
+
+    @cached_property
+    def blocks(self) -> tuple[int, ...]:
+        """1-based block index of each coordinate in order: coordinate pos (1-based) is in blocks[pos - 1]."""
+        return tuple([b for b, p in enumerate(self.parts, start=1) for _ in range(p)])
+
+
 @dataclass(frozen=True)
-class CompositionA:
+class CompositionA(_Blocks):
     parts: tuple[int, ...]
 
     def __post_init__(self):
@@ -88,20 +101,13 @@ class CompositionA:
             out.append(total)
         return tuple(out)
 
-    def block_of(self, pos: int) -> int:
-        """1-based block index of a 1-based coordinate."""
-        for b, s in enumerate(self.prefix_sums, start=1):
-            if pos <= s:
-                return b
-        raise IndexError(pos)
-
     def split_point(self) -> int:
         """Prefix sum closest to n/2, ties toward the smaller value."""
         return min(self.prefix_sums, key=lambda s: (abs(2 * s - self.n), s))
 
 
 @dataclass(frozen=True)
-class CompositionC:
+class CompositionC(_Blocks):
     parts: tuple[int, ...]
 
     def __post_init__(self):
@@ -134,53 +140,14 @@ class CompositionC:
     def r1(self) -> int:
         return self.parts[self.ell] // 2 if len(self.parts) % 2 else 0
 
-    def block_of(self, pos: int) -> int:
-        total = 0
-        for b, p in enumerate(self.parts, start=1):
-            total += p
-            if pos <= total:
-                return b
-        raise IndexError(pos)
-
 
 # ---------------------------------------------------------------------------
-# Sparse matrix helpers
+# Sparse matrices
 # ---------------------------------------------------------------------------
 
 
 def _e(a: int, b: int) -> SparseMat:
     return {(a, b): ONE}
-
-
-def _mat_add(m1: SparseMat, m2: SparseMat, c: Fraction = ONE) -> SparseMat:
-    """m1 + c * m2."""
-    out = dict(m1)
-    for pos, v in m2.items():
-        w = out.get(pos, ZERO) + c * v
-        if w:
-            out[pos] = w
-        else:
-            out.pop(pos, None)
-    return out
-
-
-def _mat_commutator(m1: SparseMat, m2: SparseMat) -> SparseMat:
-    out: SparseMat = {}
-    for (a1, b1), v1 in m1.items():
-        for (a2, b2), v2 in m2.items():
-            if b1 == a2:
-                w = out.get((a1, b2), ZERO) + v1 * v2
-                if w:
-                    out[(a1, b2)] = w
-                else:
-                    out.pop((a1, b2), None)
-            if b2 == a1:
-                w = out.get((a2, b1), ZERO) - v1 * v2
-                if w:
-                    out[(a2, b1)] = w
-                else:
-                    out.pop((a2, b1), None)
-    return out
 
 
 def _algebra_from_matrices(labels: Sequence[str], mats: Sequence[SparseMat]) -> LieAlgebra:
@@ -219,13 +186,8 @@ def _pos_label(prefix: str, i: int, j: int, wide: bool) -> str:
 
 
 def _positions_A(comp: CompositionA) -> list[tuple[int, int]]:
-    n = comp.n
-    return [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if comp.block_of(i) < comp.block_of(j)
-    ]
+    coords = list(enumerate(comp.blocks, start=1))
+    return [(i, j) for i, bi in coords for j, bj in coords if bi < bj]
 
 
 def _basis_A(comp: CompositionA) -> tuple[list[str], list[SparseMat]]:
@@ -284,18 +246,10 @@ RootC = tuple[str, int, int]  # ("m", i, j) or ("p", i, j) with i <= j
 
 
 def _roots_C(comp: CompositionC) -> list[RootC]:
-    r = comp.r
     m = len(comp.parts)
-    out: list[RootC] = []
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            if comp.block_of(i) < comp.block_of(j):
-                out.append(("m", i, j))
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            if comp.block_of(i) + comp.block_of(j) <= m:
-                out.append(("p", i, j))
-    return out
+    coords = list(enumerate(comp.blocks[: comp.r], start=1))
+    out: list[RootC] = [("m", i, j) for i, bi in coords for j, bj in coords if bi < bj]
+    return out + [("p", i, j) for i, bi in coords for j, bj in coords if i <= j and bi + bj <= m]
 
 
 def _root_matrix_C(root: RootC, r: int) -> SparseMat:
@@ -629,7 +583,7 @@ def principal_nilpotent_normalizer(
         # y normalizes cx iff [y, c] = -[c, y] has no component off cx for every c
         off_cx = [cx._reduce(col) for col in sl.ad_columns(c)]
         rows += [{a: col[k] for a, col in enumerate(off_cx) if k in col} for k in range(sl.dim)]
-    normalizer = Subspace(sl.dim, tuple(kernel_of_rows(rows, sl.dim, sparse=True)))
+    normalizer = Subspace(sl.dim, tuple(kernel(rows, sl.dim, sparse=True)))
     f_alg = restrict(sl, normalizer, labels=[f"y{k + 1}" for k in range(normalizer.dim)])
 
     cx_coords = [normalizer.coordinates_of(row) for row in cx.rows]

@@ -6,7 +6,7 @@ import pytest
 
 from liecp import constructions
 from liecp.errors import InconsistentConditions, NoUnit, NotCommutativeIdeal
-from liecp.exactla import QMatrix, RankPolicy
+from liecp.exactla import RankPolicy
 from liecp.liealg import (
     is_abelian,
     is_ideal,
@@ -73,7 +73,7 @@ def square_zero_surface():
 class TestSemidirect:
     def test_identity_on_line(self):
         g = lie_algebra_from_label_table(("x",), {})
-        rep = semidirect_cp_report(g, [QMatrix.identity(1)], 1, P)
+        rep = semidirect_cp_report(g, [[[1]]], 1, P)
         assert rep.consistent and all(rep.conditions.values())
         assert rep.built.dim == 2
 
@@ -94,7 +94,7 @@ class TestSemidirect:
     def test_dim_precondition(self):
         g = sl2()
         with pytest.raises(ValueError):
-            semidirect_cp_report(g, [QMatrix.zero(1, 1)] * 3, 1, P)
+            semidirect_cp_report(g, [[[0]]] * 3, 1, P)
 
     def test_numeric_identity_when_conditions_hold(self):
         g = two_dim_nonabelian()
@@ -121,7 +121,7 @@ class TestSinglePass:
     @staticmethod
     def report(policy):
         g = lie_algebra_from_label_table(("x",), {})
-        return semidirect_cp_report(g, [QMatrix.identity(1)], 1, policy)
+        return semidirect_cp_report(g, [[[1]]], 1, policy)
 
     def test_uncertified_disagreement_is_reported(self, no_witness):
         weak = RankPolicy(certify=False)

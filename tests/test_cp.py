@@ -21,7 +21,7 @@ from liecp.errors import (
     NotRegular,
     WrongCodimension,
 )
-from liecp.exactla import ONE, QMatrix, RankPolicy, RankResult, kernel
+from liecp.exactla import ONE, RankPolicy, RankResult, kernel
 from liecp.liealg import (
     Functional,
     Subspace,
@@ -559,7 +559,7 @@ class TestConsistency:
 def perp_by_brackets(L, p, f):
     """P^f from its definition: the common kernel of x -> f([x, h]) over the basis of P."""
     rows = [[f(L.bracket(L.basis_vector(j), h)) for j in range(L.dim)] for h in p.basis]
-    return Subspace(L.dim, tuple(kernel(QMatrix.from_rows(rows, L.dim)))) if rows else Subspace.full(L.dim)
+    return Subspace(L.dim, tuple(kernel(rows, L.dim))) if rows else Subspace.full(L.dim)
 
 
 _CATALOG = [catalog.get(name) for name in catalog.names()]

@@ -9,7 +9,6 @@ import sympy
 from liecp import index as index_module
 from liecp.errors import AmbientMismatch
 from liecp.exactla import (
-    QMatrix,
     RankPolicy,
     _symbolic_rank,
     evaluate,
@@ -110,19 +109,31 @@ def seeley_12457n(xi):
 class TestBracketMatrix:
     def test_abelian_zero(self):
         m = bracket_matrix(abelian(3))
-        assert all(not form for row in m.entries for form in row)
+        assert m.entries == ({}, {}, {})
 
     def test_h3_single_entry(self):
         m = bracket_matrix(h3())
         assert m.entries[0][1] == {2: F(1)}
         assert m.entries[1][0] == {2: F(-1)}
-        assert not m.entries[0][2] and not m.entries[2][2]
+        assert 2 not in m.entries[0] and 2 not in m.entries[2]
 
     def test_diamond_pattern(self):
         m = bracket_matrix(diamond())
         assert m.entries[0][1] == {1: F(-1)}
         assert m.entries[0][2] == {2: F(1)}
         assert m.entries[1][2] == {3: F(1)}
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_rows_come_from_the_structure_constants_alone(self, name, monkeypatch):
+        # one {col: form} row per row, no empty form, and no per-entry bracket_table lookup
+        L = catalog.get(name)
+        expected = [{j: L.bracket_table(i, j) for j in range(L.dim) if L.bracket_table(i, j)} for i in range(L.dim)]
+
+        def lookup(*args):
+            raise AssertionError("bracket_matrix looked up an entry")
+
+        monkeypatch.setattr(type(L), "bracket_table", lookup)
+        assert list(bracket_matrix(L).entries) == expected
 
 
 class TestIndex:
@@ -141,7 +152,7 @@ class TestIndex:
             ts = sympy.symbols(f"t0:{algebra.dim}")
             sm = sympy.Matrix(
                 [
-                    [sum(sympy.Rational(c) * ts[k] for k, c in m.entries[i][j].items()) for j in range(algebra.dim)]
+                    [sum(sympy.Rational(c) * ts[k] for k, c in m.entries[i].get(j, {}).items()) for j in range(algebra.dim)]
                     for i in range(algebra.dim)
                 ]
             )
@@ -307,21 +318,21 @@ class TestInvariantForms:
         point = tuple(F(m + 1) for m in range(fam.nvars))
         from liecp.exactla import evaluate
 
-        b = evaluate(fam, point)
+        b = [[row.get(j, F(0)) for j in range(L.dim)] for row in evaluate(fam, point)]
         for i in range(L.dim):
             for j in range(L.dim):
                 for k in range(L.dim):
                     lhs = sum(
-                        (c * b.entries[p][k] for p, c in L.bracket_table(i, j).items()), F(0)
+                        (c * b[p][k] for p, c in L.bracket_table(i, j).items()), F(0)
                     )
                     rhs = sum(
-                        (c * b.entries[j][p] for p, c in L.bracket_table(i, k).items()), F(0)
+                        (c * b[j][p] for p, c in L.bracket_table(i, k).items()), F(0)
                     )
                     assert lhs + rhs == 0
         # symmetry of the family
         for i in range(L.dim):
             for j in range(L.dim):
-                assert b.entries[i][j] == b.entries[j][i]
+                assert b[i][j] == b[j][i]
 
     def test_known_g5_form_is_in_family(self):
         # b(x1,x5) = b(x3,x3) = 1, b(x2,x4) = -1 solves the system
@@ -336,17 +347,17 @@ class TestInvariantForms:
         rhs = []
         for i in range(5):
             for j in range(i, 5):
-                rows.append([fam.entries[i][j].get(m, F(0)) for m in range(fam.nvars)])
+                rows.append([fam.entries[i].get(j, {}).get(m, F(0)) for m in range(fam.nvars)])
                 rhs.append(target[i][j])
         sol, params = sympy.Matrix(rows).gauss_jordan_solve(sympy.Matrix(rhs))
         point = [F(int(x.p), int(x.q)) for x in sol.subs({t: 0 for t in params})]
-        assert evaluate(fam, point) == QMatrix.from_rows(target)
+        assert evaluate(fam, point) == [{j: x for j, x in enumerate(row) if x} for row in target]
 
 
 def _dense_invariant_forms(L):
     """Reference: one dense row per (i, j <= k), zero rows dropped, and the
     identity when no row is left."""
-    from liecp.exactla import LinFormMatrix, QMatrix, kernel
+    from liecp.exactla import LinFormMatrix, kernel
 
     n = L.dim
     unknowns = n * (n + 1) // 2
@@ -362,7 +373,7 @@ def _dense_invariant_forms(L):
                 if any(x != 0 for x in row):
                     rows.append(row)
     if rows:
-        basis = kernel(QMatrix.from_rows(rows, unknowns))
+        basis = kernel(rows, unknowns)
     else:
         basis = [tuple(F(int(t == s)) for t in range(unknowns)) for s in range(unknowns)]
 
@@ -407,7 +418,7 @@ def _dense_build_invariant_forms(L):
                 for p, c in ad_i[k].items():
                     row[index_module._sym_index(n, j, p)] += c
                 rows.append(row)
-    basis = kernel(QMatrix.from_rows(rows, unknowns))
+    basis = kernel(rows, unknowns)
     nvars = len(basis)
 
     def entry(p, q):
@@ -430,8 +441,7 @@ def _dense_center(L):
         for k, c in table.items():
             row(j, k)[i] += c
             row(i, k)[j] -= c
-    m = QMatrix.from_rows([rows[key] for key in sorted(rows)], L.dim)
-    return Subspace(L.dim, tuple(kernel(m)))
+    return Subspace(L.dim, tuple(kernel([rows[key] for key in sorted(rows)], L.dim)))
 
 
 def _dense_stabilizer(L, f):
@@ -442,8 +452,7 @@ def _dense_stabilizer(L, f):
     for (i, j), table in L.sc.items():
         data[i][j] = sum((c * f.coords[k] for k, c in table.items()), F(0))
         data[j][i] = -data[i][j]
-    bf = QMatrix(L.dim, L.dim, tuple(map(tuple, data)))
-    return Subspace(L.dim, tuple(kernel(bf)))
+    return Subspace(L.dim, tuple(kernel(data, L.dim)))
 
 
 def _builder_cases():
@@ -605,8 +614,8 @@ def _spans_off_slice_zeroed(m, point, t):
     """Reference check: the whole of m evaluated at point zeroed off t."""
     keep = set(t)
     xi0 = [x if k in keep else F(0) for k, x in enumerate(point)]
-    outside = [row for k, row in enumerate(evaluate(m, xi0).entries) if k not in keep]
-    return rank_exact(QMatrix(len(outside), m.cols, tuple(outside))) == len(outside)
+    outside = [row for k, row in enumerate(evaluate(m, xi0)) if k not in keep]
+    return rank_exact(outside, m.cols) == len(outside)
 
 
 def _slice_guard_cases():
@@ -655,7 +664,9 @@ class TestCoadjointSlice:
         # rows; here they fail the check, so the slice must grow past them
         m = bracket_matrix(borel_data_classical(family, rank)[part])
         point = _sample(m)
-        independent = set(rref(evaluate(m, point).transpose().entries, m.rows)[1])
+        sample = evaluate(m, point)
+        columns = [{i: row[j] for i, row in enumerate(sample) if j in row} for j in range(m.cols)]
+        independent = set(rref(columns, m.rows)[1])
         first = [k for k in range(m.rows) if k not in independent]
         assert not _spans_off_slice(m, point, first)
         assert slice_coordinates(m, point) != first

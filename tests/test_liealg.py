@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from liecp import catalog
+from liecp.cli import vector_expr
 from liecp.errors import (
     AmbientMismatch,
     DuplicatePair,
+    IndexOutOfRange,
     JacobiViolation,
     NoUnit,
     NotADerivation,
@@ -18,7 +22,6 @@ from liecp.errors import (
     ParseError,
     ZeroVector,
 )
-from liecp.exactla import QMatrix
 from liecp.liealg import (
     AssocAlgebra,
     Functional,
@@ -247,7 +250,7 @@ class TestProducts:
 
     def test_semidirect_identity_action(self):
         g = abelian(1)
-        L = semidirect_product(g, [QMatrix.identity(1)], 1)
+        L = semidirect_product(g, [[[1]]], 1)
         assert L.dim == 2 and L.bracket_table(0, 1) == {1: F(1)}
 
     def test_semidirect_module_is_abelian_ideal(self):
@@ -263,29 +266,29 @@ class TestProducts:
 
     def test_semidirect_rejects_non_representation(self):
         g = lie_algebra_from_label_table(("x", "y"), {("x", "y"): {"y": 1}})
-        bad = [QMatrix.identity(2), QMatrix.identity(2)]
+        bad = [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]
         with pytest.raises(NotARepresentation):
             semidirect_product(g, bad, 2)
 
 
 class TestExtensions:
     def test_identity_derivation_on_abelian(self):
-        L = derivation_extend(abelian(4), QMatrix.identity(4), new_label="E")
+        L = derivation_extend(abelian(4), {(i, i): 1 for i in range(4)}, new_label="E")
         assert L.dim == 5
         # [E, v] = v, stored as [v, E] = -v
         assert L.bracket_table(0, 4) == {0: F(-1)}
 
     def test_zero_derivation(self):
-        L = derivation_extend(h3(), QMatrix.zero(3, 3))
+        L = derivation_extend(h3(), [[0] * 3] * 3)
         assert L.dim == 4 and (0, 3) not in L.sc
 
     def test_h3_weighted_derivation(self):
-        d = QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+        d = [[1, 0, 0], [0, 1, 0], [0, 0, 2]]
         L = derivation_extend(h3(), d)
         assert L.dim == 4
 
     def test_rejects_non_derivation(self):
-        d = QMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
+        d = [[1, 0, 0], [0, 1, 0], [0, 0, 5]]
         with pytest.raises(NotADerivation):
             derivation_extend(h3(), d)
 
@@ -332,6 +335,11 @@ def mat2() -> AssocAlgebra:
     return new_assoc_algebra(4, ("E11", "E12", "E21", "E22"), products, unit=(1, 0, 0, 1))
 
 
+def split_pair() -> AssocAlgebra:
+    """Q x Q with idempotent basis labelled 1 and 2."""
+    return new_assoc_algebra(2, ("1", "2"), {(0, 0): {0: 1}, (1, 1): {1: 1}}, unit=(1, 1))
+
+
 class TestAssociative:
     def test_associativity_enforced(self):
         with pytest.raises(ValueError):
@@ -354,12 +362,11 @@ class TestAssociative:
     def test_left_mult_unit_is_identity(self):
         a = dual_numbers()
         mats = left_mult_action(a)
-        unit_mat = QMatrix.identity(2)
         combo = [
-            [sum(a.unit[i] * mats[i].entries[r][c] for i in range(2)) for c in range(2)]
+            [sum(a.unit[i] * mats[i].get((r, c), 0) for i in range(2)) for c in range(2)]
             for r in range(2)
         ]
-        assert QMatrix.from_rows(combo) == unit_mat
+        assert combo == [[1, 0], [0, 1]]
 
 
 class TestLSA:
@@ -369,14 +376,14 @@ class TestLSA:
     def test_field_as_lsa(self):
         a = new_lsa_algebra(1, ("1",), {(0, 0): {0: 1}})
         g, mats = lie_of_lsa(a)
-        assert g.sc == {} and mats[0] == QMatrix.identity(1)
+        assert g.sc == {} and mats[0] == {(0, 0): 1}
 
     def test_dual_numbers_as_lsa(self):
         a = new_lsa_algebra(2, ("1", "t"), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
         g, mats = lie_of_lsa(a)
         assert g.sc == {}
-        assert mats[0] == QMatrix.identity(2)
-        assert mats[1] == QMatrix.from_rows([[0, 0], [1, 0]])
+        assert mats[0] == {(0, 0): 1, (1, 1): 1}
+        assert mats[1] == {(1, 0): 1}
 
     def test_rejects_non_left_symmetric(self):
         with pytest.raises(NotLeftSymmetric):
@@ -590,14 +597,46 @@ class TestSpanParsing:
         with pytest.raises(ParseError):
             parse_vector_expr(diamond(), expr)
 
+    def test_a_label_is_read_before_a_coefficient(self):
+        # "1*y" once read as 1 times y, silently picking the wrong basis vector
+        L = new_lie_algebra(3, ("1*x", "1*y", "y"), {})
+        assert parse_vector_expr(L, "1*y") == (0, 1, 0)
+        assert parse_vector_expr(L, "2*1*y - y + 1/2*1*x") == (F(1, 2), 2, -1)
+        assert parse_vector_expr(L, "3 * y") == (0, 0, 3)
+
+    def test_a_label_counts_only_before_a_separator(self):
+        L = new_lie_algebra(3, ("2", "x", "x.1"), {})
+        assert parse_vector_expr(L, "2*x") == (0, 2, 0)
+        assert parse_vector_expr(L, "3*2-x.1") == (3, 0, -1)
+        with pytest.raises(IndexOutOfRange, match="unknown basis label 'x.2'"):
+            parse_vector_expr(L, "x.2")
+        with pytest.raises(ParseError, match="missing"):
+            parse_vector_expr(L, "2 x")
+
+    @pytest.mark.parametrize(
+        "algebra",
+        [
+            pytest.param(lambda: tensor_commutative(dual_numbers(), h3()), id="dual numbers x h3"),
+            pytest.param(lambda: tensor_commutative(split_pair(), diamond()), id="Q x Q x diamond"),
+        ]
+        + [pytest.param(lambda name=name: catalog.get(name), id=name) for name in catalog.names()],
+    )
+    def test_rendered_vectors_read_back(self, algebra):
+        L = algebra()
+        coeffs = st.sampled_from([0, 0, 1, -1, 2, F(-1, 2), F(3, 7)])
+
+        @given(st.lists(coeffs, min_size=L.dim, max_size=L.dim).filter(any))
+        def round_trip(v):
+            assert parse_vector_expr(L, vector_expr(L.labels, v)) == tuple(v)
+
+        round_trip()
+
 
 class TestFunctional:
     def test_application(self):
         f = Functional.from_coords((0, 1, 0, 0))
         assert f((3, 5, 7, 9)) == 5
 
-
-from hypothesis import given, strategies as st
 
 _scalars = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from liecp import parabolic
 from liecp.errors import InvalidComposition, UnsupportedType
-from liecp.exactla import DEFAULT_POLICY, QMatrix, RankPolicy, kernel
+from liecp.exactla import DEFAULT_POLICY, RankPolicy, kernel
 from liecp.liealg import Subspace, is_abelian, is_ideal, new_lie_algebra
 from liecp.index import index
 from liecp.cp import is_cp, perp_of
@@ -77,6 +77,57 @@ class TestCompositionC:
     def test_from_half(self):
         assert CompositionC.from_half((1, 2), 0).parts == (1, 2, 2, 1)
         assert CompositionC.from_half((1,), 2).parts == (1, 4, 1)
+
+
+def _ref_block_of(parts, pos):
+    """1-based block index of a 1-based coordinate, found anew on every call."""
+    total = 0
+    for b, p in enumerate(parts, start=1):
+        total += p
+        if pos <= total:
+            return b
+    raise IndexError(pos)
+
+
+def _ref_positions_A(comp):
+    n = comp.n
+    return [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if _ref_block_of(comp.parts, i) < _ref_block_of(comp.parts, j)
+    ]
+
+
+def _ref_roots_C(comp):
+    r = comp.r
+    m = len(comp.parts)
+    out = []
+    for i in range(1, r + 1):
+        for j in range(i + 1, r + 1):
+            if _ref_block_of(comp.parts, i) < _ref_block_of(comp.parts, j):
+                out.append(("m", i, j))
+    for i in range(1, r + 1):
+        for j in range(i, r + 1):
+            if _ref_block_of(comp.parts, i) + _ref_block_of(comp.parts, j) <= m:
+                out.append(("p", i, j))
+    return out
+
+
+class TestBlocks:
+    """Each coordinate's block is computed once per composition; positions and roots keep their order."""
+
+    @given(compositions_a)
+    def test_type_a(self, parts):
+        comp = CompositionA(tuple(parts))
+        assert comp.blocks == tuple(_ref_block_of(comp.parts, pos) for pos in range(1, comp.n + 1))
+        assert comp.blocks is comp.blocks
+        assert parabolic._positions_A(comp) == _ref_positions_A(comp)
+
+    @given(compositions_c())
+    def test_type_c(self, comp):
+        assert comp.blocks == tuple(_ref_block_of(comp.parts, pos) for pos in range(1, 2 * comp.r + 1))
+        assert parabolic._roots_C(comp) == _ref_roots_C(comp)
 
 
 class TestNilradicalA:
@@ -432,12 +483,12 @@ def _ref_normalizer(n, policy):
 
     x = {(i, i + 1): F(1) for i in range(1, n)}
     ad_cols = [coords(_ref_commutator(x, m)) for m in mats]
-    cx = Subspace(dim, tuple(kernel(QMatrix(dim, dim, tuple(tuple(col[k] for col in ad_cols) for k in range(dim))))))
+    cx = Subspace(dim, tuple(kernel([[col[k] for col in ad_cols] for k in range(dim)], dim)))
     rows = []
     for cmat in [as_matrix(row) for row in cx.basis]:
         cols = [cx.residual(coords(_ref_commutator(m, cmat))) for m in mats]
         rows += [[cols[a][k] for a in range(dim)] for k in range(dim)]
-    normalizer = Subspace(dim, tuple(kernel(QMatrix.from_rows(rows, dim))))
+    normalizer = Subspace(dim, tuple(kernel(rows, dim)))
     f_mats = [as_matrix(row) for row in normalizer.basis]
     brackets = {}
     for a in range(normalizer.dim):

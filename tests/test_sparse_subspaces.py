@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from liecp import catalog
 from liecp.cp import is_cp, pairing_matrix, perp_of, search_cp
 from liecp.errors import AmbientMismatch
-from liecp.exactla import ZERO, ONE, LinFormMatrix, QMatrix, as_vector, kernel, kernel_of_rows, rref
+from liecp.exactla import ZERO, ONE, LinFormMatrix, as_vector, kernel, rref
 from liecp.index import _bf_rows, sample_regular, stabilizer
 from liecp.liealg import (
     Subspace,
@@ -110,7 +110,7 @@ def dense_intersection(n, basis, other):
         return ()
     cols = list(zip(*basis))
     rows = [col + tuple(-x for x in other_col) for col, other_col in zip(cols, zip(*other))]
-    solutions = kernel(QMatrix.from_rows(rows, p + m))
+    solutions = kernel(rows, p + m)
     vectors = [[sum((a * b for a, b in zip(col, sol)), ZERO) for col in cols] for sol in solutions]
     return dense_span(n, vectors)
 
@@ -138,13 +138,17 @@ def dense_is_ideal(L, rows):
 
 
 def Bf_matrix(L, f):
-    """Alternating form (i, j) -> f([x_i, x_j])."""
-    return QMatrix(L.dim, L.dim, tuple(tuple(row.get(j, ZERO) for j in range(L.dim)) for row in _bf_rows(L, f)))
+    """Alternating form (i, j) -> f([x_i, x_j]), as dense rows."""
+    return tuple(tuple(row.get(j, ZERO) for j in range(L.dim)) for row in _bf_rows(L, f))
+
+
+def dense_mul_vector(m, v):
+    return tuple(sum((a * x for a, x in zip(row, as_vector(v))), ZERO) for row in m)
 
 
 def dense_perp_of(L, rows, f):
     bf = Bf_matrix(L, f)
-    return tuple(kernel(QMatrix.from_rows([bf.mul_vector(h) for h in rows], L.dim)))
+    return tuple(kernel([dense_mul_vector(bf, h) for h in rows], L.dim))
 
 
 def dense_pairing_matrix(L, rows):
@@ -160,12 +164,13 @@ def dense_pairing_matrix(L, rows):
 
 
 def dense_ad(L, v):
+    """Rows of the matrix whose columns are [v, x_j]."""
     cols = tuple(dense_bracket(L, v, dense_basis_vector(L, j)) for j in range(L.dim))
-    return QMatrix(L.dim, L.dim, cols).transpose()
+    return tuple(zip(*cols)) if cols else ()
 
 
 def dense_centralizer(L, u):
-    return tuple(kernel(dense_ad(L, u)))
+    return tuple(kernel(dense_ad(L, u), L.dim))
 
 
 def dense_quotient(L, rows):
@@ -374,8 +379,8 @@ def test_basis_view_is_the_rref_of_the_spanning_vectors(vectors):
     assert hash(s) == hash(Subspace(5, s.basis))
     sparse_red, sparse_pivots = rref(vectors, 5, sparse=True)
     assert [[row.get(j, ZERO) for j in range(5)] for row in sparse_red] == red and sparse_pivots == pivots
-    assert [tuple(row.get(j, ZERO) for j in range(5)) for row in kernel_of_rows(vectors, 5, sparse=True)] == (
-        kernel_of_rows(vectors, 5)
+    assert [tuple(row.get(j, ZERO) for j in range(5)) for row in kernel(vectors, 5, sparse=True)] == (
+        kernel(vectors, 5)
     )
 
 
