@@ -11,7 +11,6 @@ under either policy.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -22,10 +21,8 @@ from .exactla import (
     ONE,
     LinFormMatrix,
     RankPolicy,
-    evaluate,
+    full_rank_witness,
     generic_rank,
-    random_point,
-    rank_exact,
 )
 from .cp import is_cp
 from .index import index
@@ -81,15 +78,14 @@ def _stabilizer_vanishes_somewhere(form: LinFormMatrix, policy: RankPolicy) -> b
     The stabilizer at a concrete f is the left kernel of the specialized
     matrix, computed exactly: it is zero when the rows have full rank.
     Finding a witness is randomized but the positive answer it gives is
-    certain.  At least 16 points are drawn, the witness floor of
-    `cp._form_certificate`.
+    certain.  The draws are those of `cp._form_certificate` (`full_rank_witness`).
     """
-    rng = random.Random(policy.seed)
-    for _ in range(max(policy.samples, 16)):
-        specialized = evaluate(form, random_point(rng, form.nvars, policy.coeff_bound))
-        if rank_exact(specialized, form.cols) == form.rows:
-            return True
-    return False
+    return full_rank_witness(form, policy) is not None
+
+
+def _cp_ideal(L: LieAlgebra, v: Subspace, policy: RankPolicy) -> bool:
+    rep = is_cp(L, v, policy)
+    return rep.is_cp and rep.is_ideal
 
 
 def semidirect_cp_report(
@@ -113,7 +109,7 @@ def semidirect_cp_report(
     form = _action_form_matrix(action_mats, g.dim, dim_v)
 
     conditions = {
-        "cp_ideal": is_cp(L, v, policy).is_cp and is_ideal(L, v),
+        "cp_ideal": _cp_ideal(L, v, policy),
         "index_matches": index(L, policy).index == dim_v - g.dim,
         "action_rank_full": generic_rank(form, policy).rank == g.dim,
         "stabilizer_vanishes": _stabilizer_vanishes_somewhere(form, policy),
@@ -137,16 +133,18 @@ def frobenius_associative_report(
     mats = left_mult_action(a)
     n = a.dim
 
-    pairing = LinFormMatrix.build(
-        n, n, n, lambda i, j: {k: c for k, c in a.product_table(i, j).items()}
-    )
+    # entry (i, j) is the form f -> f(x_i x_j), filled from the product table in one pass
+    rows: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(n)]
+    for (i, j), table in a.sc.items():
+        rows[i][j] = dict(table)
+    pairing = LinFormMatrix(n, n, n, tuple(rows))
     L = semidirect_product(g, mats, n, v_labels=tuple(f"m.{lb}" for lb in a.labels))
     v = _module_subspace(L, n)
 
     conditions = {
         "pairing_nondegenerate": generic_rank(pairing, policy).rank == n,
         "lie_frobenius": index(L, policy).index == 0,
-        "module_cp_ideal": is_cp(L, v, policy).is_cp and is_ideal(L, v),
+        "module_cp_ideal": _cp_ideal(L, v, policy),
     }
     return _report(conditions, L, policy)
 
@@ -172,7 +170,7 @@ def lsa_frobenius_report(
     conditions = {
         "stabilizer_vanishes": _stabilizer_vanishes_somewhere(form, policy),
         "lie_frobenius": index(L, policy).index == 0,
-        "dual_cp_ideal": is_cp(L, v, policy).is_cp and is_ideal(L, v),
+        "dual_cp_ideal": _cp_ideal(L, v, policy),
     }
     return _report(conditions, L, policy)
 

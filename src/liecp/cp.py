@@ -56,6 +56,7 @@ from .exactla import (
     LinFormMatrix,
     RankPolicy,
     evaluate,
+    full_rank_witness,
     generic_rank,
     kernel,
     random_point,
@@ -119,7 +120,7 @@ def is_cp(L: LieAlgebra, p: Subspace, policy: RankPolicy = DEFAULT_POLICY) -> CP
     if p.ambient_dim != L.dim:
         raise AmbientMismatch("subspace ambient dimension differs from the algebra")
     abelian = is_abelian(L, p)
-    subalg = is_subalgebra(L, p)
+    subalg = abelian or is_subalgebra(L, p)  # an abelian span is closed
     ideal = is_ideal(L, p)
 
     rep = index(L, policy)
@@ -213,12 +214,8 @@ def _form_certificate(L: LieAlgebra, policy: RankPolicy) -> NoCPCertificate | No
     family = invariant_symmetric_forms(L)
     if generic_rank(family, policy).rank < L.dim:
         return None
-    rng = random.Random(policy.seed)
-    for _ in range(max(policy.samples, 16)):
-        point = random_point(rng, family.nvars, policy.coeff_bound)
-        if rank_exact(evaluate(family, point), L.dim) == L.dim:
-            return NoCPCertificate(FORM_KIND, form_point=point)
-    return None
+    point = full_rank_witness(family, policy)
+    return None if point is None else NoCPCertificate(FORM_KIND, form_point=point)
 
 
 def no_cp_certificate(

@@ -455,3 +455,17 @@ def generic_rank(
     if sym < best:
         raise ArithmeticError("symbolic rank below a sampled rank; elimination bug")
     return RankResult(sym, True)
+
+
+def full_rank_witness(m: LinFormMatrix, policy: RankPolicy = DEFAULT_POLICY) -> tuple[Fraction, ...] | None:
+    """The first seeded point at which m has rank m.rows, or None.
+
+    At least 16 points are drawn, under either policy.  A point found proves
+    full row rank there, and so generically; None proves nothing.
+    """
+    rng = random.Random(policy.seed)
+    for _ in range(max(policy.samples, 16)):
+        point = random_point(rng, m.nvars, policy.coeff_bound)
+        if rank_exact(evaluate(m, point), m.cols) == m.rows:
+            return point
+    return None

@@ -8,7 +8,9 @@ echelon rows of `rref`, so equal subspaces have equal rows; dense tuples
 appear only at the API boundary (`bracket`, `basis`, `residual`).  Every
 constructor re-validates the Jacobi identity exactly, over the basis triples
 with a nonzero double bracket [[x_a, x_b], x_c] in the tables (any other
-triple has zero defect; see `new_lie_algebra`).
+triple has zero defect; see `new_lie_algebra`).  Associative and
+left-symmetric products are validated and turned into Lie algebras on their
+sparse tables as well, through `_associator`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -604,35 +606,29 @@ def heisenberg_extend(m: LieAlgebra, z: VecLike, r: int) -> LieAlgebra:
 @dataclass(frozen=True)
 class ProductAlgebra:
     """Algebra with a bilinear product given by structure constants for
-    every ordered basis pair.  Whether it is associative (with an optional
-    unit) or left-symmetric is established by the validating constructor
-    that built it."""
+    every ordered basis pair: x_i x_j = sum_k sc[i, j][k] x_k.  Whether it is
+    associative (with an optional unit) or left-symmetric is established by
+    the validating constructor that built it."""
 
     dim: int
     labels: tuple[str, ...]
     sc: Mapping[tuple[int, int], ScTable]
     unit: Vector | None = None
 
-    def product_table(self, i: int, j: int) -> dict[int, Fraction]:
-        return dict(self.sc.get((i, j), {}))
-
-    def product(self, u: VecLike, v: VecLike) -> Vector:
-        uu, vv = as_vector(u), as_vector(v)
-        acc = [ZERO] * self.dim
-        for (i, j), table in self.sc.items():
-            coeff = uu[i] * vv[j]
-            if coeff:
-                for k, c in table.items():
-                    acc[k] += coeff * c
-        return tuple(acc)
-
-    def basis_vector(self, i: int) -> Vector:
-        return _dense({i: ONE}, self.dim)
-
 
 # one type for both kinds; only their validating constructors differ
 AssocAlgebra = ProductAlgebra
 LSAAlgebra = ProductAlgebra
+
+
+def _associator(sc: Mapping[tuple[int, int], ScTable], i: int, j: int, k: int) -> dict[int, Fraction]:
+    """Nonzero coordinates of (x_i x_j) x_k - x_i (x_j x_k), read off the product table."""
+    acc: dict[int, Fraction] = {}
+    for p, c in sc.get((i, j), {}).items():
+        _accumulate(acc, sc.get((p, k), {}), c)
+    for p, c in sc.get((j, k), {}).items():
+        _accumulate(acc, sc.get((i, p), {}), -c)
+    return {q: x for q, x in acc.items() if x}
 
 
 def new_assoc_algebra(
@@ -641,22 +637,25 @@ def new_assoc_algebra(
     products: Mapping[tuple[int, int], Mapping[int, "Fraction | int"]],
     unit: VecLike | None = None,
 ) -> ProductAlgebra:
+    """Validated constructor: every associator vanishes, then the unit, if
+    given, is a two-sided identity; the first failing triple is named."""
     labels = tuple(labels)
     sc = _clean_table("product", dim, labels, products)
-    alg = ProductAlgebra(dim, labels, sc, as_vector(unit) if unit is not None else None)
+    for i, j, k in product(range(dim), repeat=3):
+        if _associator(sc, i, j, k):
+            raise ValueError(f"associativity fails on basis triple ({i}, {j}, {k})")
+    if unit is None:
+        return ProductAlgebra(dim, labels, sc)
+    u = _sparse_vector(unit, dim)
     for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                left = alg.product(alg.product(alg.basis_vector(i), alg.basis_vector(j)), alg.basis_vector(k))
-                right = alg.product(alg.basis_vector(i), alg.product(alg.basis_vector(j), alg.basis_vector(k)))
-                if left != right:
-                    raise ValueError(f"associativity fails on basis triple ({i}, {j}, {k})")
-    if alg.unit is not None:
-        for i in range(dim):
-            e = alg.basis_vector(i)
-            if alg.product(alg.unit, e) != e or alg.product(e, alg.unit) != e:
-                raise NoUnit("declared unit is not a two-sided identity")
-    return alg
+        left: SparseVector = {}
+        right: SparseVector = {}
+        for a, x in u.items():
+            _accumulate(left, sc.get((a, i), {}), x)
+            _accumulate(right, sc.get((i, a), {}), x)
+        if any({k: c for k, c in side.items() if c} != {i: ONE} for side in (left, right)):
+            raise NoUnit("declared unit is not a two-sided identity")
+    return ProductAlgebra(dim, labels, sc, _dense(u, dim))
 
 
 def new_lsa_algebra(
@@ -664,31 +663,23 @@ def new_lsa_algebra(
     labels: Sequence[str],
     products: Mapping[tuple[int, int], Mapping[int, "Fraction | int"]],
 ) -> ProductAlgebra:
+    """Validated constructor: the associator is symmetric in its first two
+    arguments, (x_i, x_j, x_k) = (x_j, x_i, x_k); the first failing triple is named."""
     labels = tuple(labels)
     sc = _clean_table("product", dim, labels, products)
-    alg = ProductAlgebra(dim, labels, sc)
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                a, b, c = alg.basis_vector(i), alg.basis_vector(j), alg.basis_vector(k)
-                lhs = _vec_sub(alg.product(a, alg.product(b, c)), alg.product(alg.product(a, b), c))
-                rhs = _vec_sub(alg.product(b, alg.product(a, c)), alg.product(alg.product(b, a), c))
-                if lhs != rhs:
-                    raise NotLeftSymmetric(f"left-symmetric identity fails on triple ({i}, {j}, {k})")
-    return alg
-
-
-def _vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
+    for i, j, k in product(range(dim), repeat=3):
+        if _associator(sc, i, j, k) != _associator(sc, j, i, k):
+            raise NotLeftSymmetric(f"left-symmetric identity fails on triple ({i}, {j}, {k})")
+    return ProductAlgebra(dim, labels, sc)
 
 
 def lie_of_associative(a: ProductAlgebra) -> LieAlgebra:
     """Commutator Lie algebra [u, v] = uv - vu (associative or left-symmetric a)."""
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            w = _vec_sub(a.product(a.basis_vector(i), a.basis_vector(j)), a.product(a.basis_vector(j), a.basis_vector(i)))
-            brackets[(i, j)] = dict(enumerate(w))
+    for i, j in combinations(range(a.dim), 2):
+        w = dict(a.sc.get((i, j), {}))
+        _accumulate(w, a.sc.get((j, i), {}), -ONE)
+        brackets[(i, j)] = w
     return new_lie_algebra(a.dim, a.labels, brackets)
 
 
@@ -703,32 +694,26 @@ def lie_of_lsa(a: ProductAlgebra) -> tuple[LieAlgebra, list[SparseMat]]:
 
 
 def tensor_commutative(a: ProductAlgebra, m: LieAlgebra) -> LieAlgebra:
-    """Current-algebra bracket [a x, a' y] = (a a') [x, y] for commutative a."""
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            if a.product(a.basis_vector(i), a.basis_vector(j)) != a.product(a.basis_vector(j), a.basis_vector(i)):
-                raise NotCommutative(f"product is not commutative on ({a.labels[i]}, {a.labels[j]})")
-    dim = a.dim * m.dim
+    """Current-algebra bracket [a x, a' y] = (a a') [x, y] for commutative a.
 
-    def flat(i: int, j: int) -> int:
-        return i * m.dim + j
-
-    labels = tuple(f"{a.labels[i]}*{m.labels[j]}" for i in range(a.dim) for j in range(m.dim))
+    The basis element a_i * x_j has index i * dim m + j.  Only pairs with a
+    nonzero product in a and a nonzero bracket in m give a table."""
+    for i, j in combinations(range(a.dim), 2):
+        if a.sc.get((i, j), {}) != a.sc.get((j, i), {}):
+            raise NotCommutative(f"product is not commutative on ({a.labels[i]}, {a.labels[j]})")
+    n = m.dim
+    signed = sorted(({(l, j): {q: -c for q, c in t.items()} for (j, l), t in m.sc.items()} | dict(m.sc)).items())
+    labels = tuple(f"{a.labels[i]}*{m.labels[j]}" for i in range(a.dim) for j in range(n))
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(a.dim):
-        for k in range(i, a.dim):
-            prod = a.product_table(i, k)
-            for j in range(m.dim):
-                for l in range(m.dim):
-                    u, v = flat(i, j), flat(k, l)
-                    if u >= v:
-                        continue
-                    table = brackets[(u, v)] = {}
-                    for p, pc in prod.items():
-                        for q, qc in m.bracket_table(j, l).items():
-                            t = flat(p, q)
-                            table[t] = table.get(t, ZERO) + pc * qc
-    return new_lie_algebra(dim, labels, brackets)
+    for i, k in combinations_with_replacement(range(a.dim), 2):
+        prod = a.sc.get((i, k))
+        if not prod:
+            continue
+        for (j, l), table in signed:
+            u, v = i * n + j, k * n + l
+            if u < v:
+                brackets[(u, v)] = {p * n + q: pc * qc for p, pc in prod.items() for q, qc in table.items()}
+    return new_lie_algebra(a.dim * n, labels, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +722,7 @@ def tensor_commutative(a: ProductAlgebra, m: LieAlgebra) -> LieAlgebra:
 
 # ASCII classes, matched with fullmatch: \d takes other scripts' digits and $ a trailing newline
 _RAT_RE = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?")
-_LABEL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.~'*+-]*")
+_LABEL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.~'*]*")  # no + or -: they join the terms of a span expression
 
 
 def _parse_rat(text: str, location: str) -> Fraction:

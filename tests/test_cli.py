@@ -292,6 +292,16 @@ class TestErrors:
         assert_error_line(out, "cp-check")
         assert json.loads(out)["error"] == "cannot parse span expression '1/0*z' at offset 0"
 
+    @pytest.mark.parametrize("label", ["a-b", "a+b"])
+    def test_signed_label_rejected(self, tmp_path, label):
+        # a label with + or - would render x_a - x_b as the label a-b
+        path = tmp_path / "signed.alg"
+        path.write_text(json.dumps({"name": "s", "dim": 3, "basis": ["a", "b", label], "brackets": []}))
+        code, out = run(["index", str(path), "--json"])
+        assert code == 2
+        assert_error_line(out, "index")
+        assert json.loads(out)["error"] == f"bad basis label {label!r} at basis[2]"
+
     def test_non_string_bracket_label(self, tmp_path):
         # ParseError for an lhs that is a JSON array, not a label
         path = tmp_path / "bad.alg"

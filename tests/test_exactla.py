@@ -15,6 +15,7 @@ from liecp.exactla import (
     LinFormMatrix,
     RankPolicy,
     evaluate,
+    full_rank_witness,
     generic_rank,
     kernel,
     random_point,
@@ -370,6 +371,24 @@ class TestPolicy:
         with pytest.raises(SystemExit) as exc:
             main(["index", str(path), "--certify", "auto"])
         assert exc.value.code == 2
+
+
+class TestFullRankWitness:
+    def test_first_full_rank_draw(self):
+        rng = random.Random(0)
+        d0, d1 = random_point(rng, 2, 10**6), random_point(rng, 2, 10**6)
+        # diag(t0, t1) has full rank at the first draw; diag(t0 - (d0[0] / d0[1]) t1, t1) is singular
+        # there and not at the second
+        diag = LinFormMatrix(2, 2, 2, ({0: {0: F(1)}}, {1: {1: F(1)}}))
+        assert full_rank_witness(diag, RankPolicy()) == d0
+        missed = LinFormMatrix(2, 2, 2, ({0: {0: F(1), 1: -d0[0] / d0[1]}}, {1: {1: F(1)}}))
+        assert full_rank_witness(missed, RankPolicy()) == d1
+
+    @pytest.mark.parametrize("samples", [1, 5, 40])
+    def test_rank_deficient(self, samples):
+        # two proportional rows: no draw gives rank 2, so None after max(samples, 16) draws
+        m = LinFormMatrix(2, 2, 1, ({0: {0: F(1)}}, {0: {0: F(2)}}))
+        assert full_rank_witness(m, RankPolicy(samples=samples)) is None
 
 
 class TestFirstMiss:

@@ -349,6 +349,12 @@ class TestAssociative:
         with pytest.raises(NoUnit):
             new_assoc_algebra(2, ("1", "t"), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, unit=(0, 1))
 
+    @pytest.mark.parametrize("unit", [(1, 0, 5), (1,)])
+    def test_unit_length_checked(self, unit):
+        # (1, 0, 5) was stored and broke serialization; (1,) raised a bare IndexError
+        with pytest.raises(AmbientMismatch):
+            new_assoc_algebra(2, ("1", "t"), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, unit=unit)
+
     def test_commutative_gives_abelian_lie(self):
         g = lie_of_associative(dual_numbers())
         assert g.sc == {}
@@ -449,6 +455,9 @@ class TestFileFormat:
             ({"terms": {"y": "3\n"}}, "malformed rational '3\\n'", "brackets[0].y"),
             # an Arabic-Indic three, which \d and Fraction both take for 3
             ({"terms": {"y": "\u0663"}}, "malformed rational '\u0663'", "brackets[0].y"),
+            # + and - join the terms of a span expression, so "a-b" would also read as x_a - x_b
+            ({"basis": ["x", "x-y"]}, "bad basis label 'x-y'", "basis[1]"),
+            ({"basis": ["x+y", "y"]}, "bad basis label 'x+y'", "basis[0]"),
         ],
     )
     def test_non_strict_input_rejected(self, changes, message, location):

@@ -196,11 +196,24 @@ def dense_ad(L, v) -> QMatrix:
     return QMatrix(L.dim, L.dim, cols).transpose()
 
 
+def dense_product(a, u: VecLike, v: VecLike) -> tuple[Fraction, ...]:
+    """`ProductAlgebra.product`: uv from the structure constants, as a dense vector."""
+    uu, vv = as_vector(u), as_vector(v)
+    acc = [ZERO] * a.dim
+    for (i, j), table in a.sc.items():
+        coeff = uu[i] * vv[j]
+        if coeff:
+            for k, c in table.items():
+                acc[k] += coeff * c
+    return tuple(acc)
+
+
 def dense_left_mult_action(a) -> list[QMatrix]:
     """Matrices of u -> (v -> uv), one per basis element."""
+    e = [tuple(F(int(k == i)) for k in range(a.dim)) for i in range(a.dim)]
     mats = []
     for i in range(a.dim):
-        cols = tuple(a.product(a.basis_vector(i), a.basis_vector(j)) for j in range(a.dim))
+        cols = tuple(dense_product(a, e[i], e[j]) for j in range(a.dim))
         mats.append(QMatrix(a.dim, a.dim, cols).transpose())
     return mats
 
