@@ -29,7 +29,7 @@ from .cp import (
     verify_index_chain,
     verify_no_cp_certificate,
 )
-from .index import frobenius_semiradical, has_nondeg_invariant_form, index
+from .index import frobenius_semiradical, index, nondeg_invariant_form
 from .liealg import (
     Functional,
     center,
@@ -216,9 +216,10 @@ def _cmd_fsr(args, policy):
 
 def _cmd_invariant_form(args, policy):
     L = _load_algebra(args.file)
-    exists = has_nondeg_invariant_form(L, policy)
-    payload = {"nondegenerate_invariant_form": exists}
-    return (0 if exists else 1), payload, [f"nondegenerate invariant form: {exists}"]
+    exists, certified = nondeg_invariant_form(L, policy)
+    payload = {"nondegenerate_invariant_form": exists, "certified": certified}
+    code = 0 if exists else 1 if certified else 2
+    return code, payload, [f"nondegenerate invariant form: {exists} (certified={certified})"]
 
 
 def _cmd_cp_check(args, policy):

@@ -66,6 +66,7 @@ from .index import (
     _bf_rows,
     _draw_regular,
     frobenius_semiradical,
+    has_nondeg_invariant_form,
     index,
     invariant_symmetric_forms,
     stabilizer,
@@ -202,7 +203,16 @@ class NoCPCertificate:
 
 
 def _fsr_certificate(L: LieAlgebra, policy: RankPolicy) -> NoCPCertificate | None:
-    rep = frobenius_semiradical(L, policy)
+    """A pair with nonzero bracket in the span of the shortest nonabelian prefix of draws.
+
+    Sampling stops as soon as the span is not abelian.  The draws come from
+    the same seeded stream as a converged `frobenius_semiradical`, and the
+    span only grows, so some prefix span is nonabelian iff the converged
+    span is: the certificate exists for exactly the same algebras, and only
+    its `pair` and `functionals` are shorter.  Regular stabilizers are
+    abelian (Duflo-Vergne), so it always takes at least two draws.
+    """
+    rep = frobenius_semiradical(L, policy, stop=lambda span: not is_abelian(L, span))
     for (a, u), (b, v) in itertools.combinations(enumerate(rep.subspace.rows), 2):
         if L.sparse_bracket(u, v):
             basis = rep.subspace.basis
@@ -211,10 +221,9 @@ def _fsr_certificate(L: LieAlgebra, policy: RankPolicy) -> NoCPCertificate | Non
 
 
 def _form_certificate(L: LieAlgebra, policy: RankPolicy) -> NoCPCertificate | None:
-    family = invariant_symmetric_forms(L)
-    if generic_rank(family, policy).rank < L.dim:
+    if not has_nondeg_invariant_form(L, policy):
         return None
-    point = full_rank_witness(family, policy)
+    point = full_rank_witness(invariant_symmetric_forms(L), policy)
     return None if point is None else NoCPCertificate(FORM_KIND, form_point=point)
 
 

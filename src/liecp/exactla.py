@@ -38,10 +38,11 @@ sampled rank is returned uncertified.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ExactDivisionError
 

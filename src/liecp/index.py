@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import AmbientMismatch, SamplingExhausted
 from .exactla import (
@@ -32,7 +32,7 @@ from .exactla import (
     random_point,
     rank_exact,
 )
-from .liealg import Functional, LieAlgebra, Subspace, center
+from .liealg import Functional, LieAlgebra, Subspace, center, derived_subalgebra
 
 
 @dataclass(frozen=True)
@@ -204,12 +204,17 @@ class FSRReport:
 
 
 def frobenius_semiradical(
-    L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY, attempts: int = 128
+    L: LieAlgebra,
+    policy: RankPolicy = DEFAULT_POLICY,
+    attempts: int = 128,
+    stop: Callable[[Subspace], bool] | None = None,
 ) -> FSRReport:
     """Span of regular stabilizers drawn from the seeded stream until it stops growing.
 
     Each draw's stabilizer is computed once, by the regularity test that
-    accepts it.  The first draw is `sample_regular`'s.
+    accepts it.  The first draw is `sample_regular`'s.  `stop`, if given,
+    is asked each time the span grows; once it holds, sampling ends there,
+    unconverged, and `functionals` are exactly the draws made.
     """
     idx = index(L, policy)
     rng = random.Random(policy.seed)
@@ -225,6 +230,8 @@ def frobenius_semiradical(
         else:
             stable = 0
             span = grown
+            if stop is not None and stop(span):
+                break
     return FSRReport(span, stable >= FSR_STABLE_RUN, tuple(funcs))
 
 
@@ -274,9 +281,26 @@ def _build_invariant_forms(L: LieAlgebra) -> LinFormMatrix:
     return LinFormMatrix.build(n, n, nvars, entry)
 
 
+def nondeg_invariant_form(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> tuple[bool, bool]:
+    """Whether L has a nondegenerate invariant symmetric form, and whether that answer is certified.
+
+    First an exact test that needs no form family.  A nondegenerate
+    invariant B has B(z, [x, y]) = B([z, x], y), so z is orthogonal to
+    [L, L] iff [z, x] = 0 for every x: [L, L]^perp = Z(L), and
+    dim Z(L) + dim [L, L] = dim L.  When that fails the answer is a
+    certified no.  Otherwise it is the generic rank of the family
+    (`invariant_symmetric_forms`) against dim L.  A "yes" is always
+    certified, since a sample at full rank proves it; a "no" is certified
+    only when the rank is.
+    """
+    if center(L).dim + derived_subalgebra(L).dim != L.dim:
+        return False, True
+    rank, certified = generic_rank(invariant_symmetric_forms(L), policy)
+    return rank == L.dim, certified
+
+
 def has_nondeg_invariant_form(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> bool:
-    family = invariant_symmetric_forms(L)
-    return generic_rank(family, policy).rank == L.dim
+    return nondeg_invariant_form(L, policy)[0]
 
 
 def is_square_integrable(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> bool:

@@ -66,8 +66,10 @@ class TestBasicCommands:
         assert code == 0 and payload["center_dim"] == 1 and payload["basis"] == ["z"]
 
     def test_fsr(self, diamond_file):
+        # fsr samples to convergence: the certificate's early stop does not reach it
         code, payload = run_json(["fsr", diamond_file])
         assert code == 0 and payload["fsr_dim"] == 4 and payload["converged"]
+        assert payload["samples_used"] == 6
 
     def test_invariant_form(self, diamond_file, h3_file):
         assert run_json(["invariant-form", diamond_file])[0] == 0
@@ -80,7 +82,19 @@ class TestBasicCommands:
         path = tmp_path / "nil_A_1x10.alg"
         path.write_text(serialize_algebra(L))
         code, payload = run_json(["invariant-form", str(path)])
-        assert code == 1 and payload["nondegenerate_invariant_form"] is False
+        assert code == 1 and payload["nondegenerate_invariant_form"] is False and payload["certified"]
+
+    def test_uncertified_no_exits_2(self, diamond_file):
+        # diamond has a nondegenerate invariant form; one sample at bound 2 misses full rank
+        argv = ["invariant-form", diamond_file, "--certify", "off", "--bound", "2", "--samples", "1", "--seed", "4"]
+        code, payload = run_json(argv)
+        assert code == 2 and payload["exit"] == 2
+        assert payload["nondegenerate_invariant_form"] is False and payload["certified"] is False
+
+    def test_center_and_derived_algebra_certify_no_without_sampling(self, h3_file):
+        # dim Z + dim [L, L] = 2 < 3 for h3: a certified no under --certify off too
+        code, payload = run_json(["invariant-form", h3_file, "--certify", "off", "--samples", "1"])
+        assert code == 1 and payload["nondegenerate_invariant_form"] is False and payload["certified"]
 
 
 class TestCPCommands:

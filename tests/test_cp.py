@@ -26,6 +26,7 @@ from liecp.liealg import (
     Functional,
     Subspace,
     center,
+    direct_product,
     is_abelian,
     is_ideal,
     is_subalgebra,
@@ -818,3 +819,135 @@ class TestOneRegularStabilizer:
         # then 61 more type-A (63 with n <= 6, two already in) and 13 more type-C
         assert len(catalog.names()) == 28
         assert len(_SPAN_SEARCH_INPUTS) == 39 + 61 + 13
+
+
+# ---------------------------------------------------------------------------
+# The no-CP certificate stopped at the first noncommuting pair against the
+# converged stabilizer span and the whole form family
+# ---------------------------------------------------------------------------
+
+
+def converged_certificate_kind(L, policy):
+    """The kind `no_cp_certificate` gave when the stabilizer span was sampled
+    to convergence and the form route took the generic rank of the family."""
+    rep = frobenius_semiradical(L, policy)
+    for u, v in itertools.combinations(rep.subspace.rows, 2):
+        if L.sparse_bracket(u, v):
+            return FSR_KIND
+    family = index_module.invariant_symmetric_forms(L)
+    if index_module.generic_rank(family, policy).rank < L.dim:
+        return None
+    return None if cp_module.full_rank_witness(family, policy) is None else FORM_KIND
+
+
+def shortest_nonabelian_prefix(L, functionals):
+    """The shortest prefix of `functionals` whose stabilizers span a nonabelian subspace, or None."""
+    span = Subspace.zero(L.dim)
+    for k, f in enumerate(functionals, 1):
+        span = span + index_module.stabilizer(L, f)
+        if not is_abelian(L, span):
+            return functionals[:k]
+    return None
+
+
+def assert_early_stop_keeps_the_certificate(L, policy=P):
+    if not L.sc:
+        with pytest.raises(ValueError):
+            no_cp_certificate(L, policy)
+        return
+    cert = no_cp_certificate(L, policy)
+    assert (cert and cert.kind) == converged_certificate_kind(L, policy)
+    prefix = shortest_nonabelian_prefix(L, frobenius_semiradical(L, policy).functionals)
+    fsr_cert = no_cp_certificate(L, policy, kind=FSR_KIND)
+    if prefix is None:
+        assert fsr_cert is None
+    else:
+        # regular stabilizers are abelian (Duflo-Vergne), so one draw never suffices
+        assert fsr_cert.functionals == prefix and len(prefix) >= 2
+        assert verify_no_cp_certificate(L, fsr_cert, policy)
+
+
+@st.composite
+def products_of_small_algebras(draw):
+    """A direct product of one to three small catalog algebras, with an abelian factor of dimension 0 to 2."""
+    names = [name for name in catalog.names() if catalog.get(name).dim <= 6]
+    factors = [catalog.get(name) for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))]
+    k = draw(st.integers(0, 2))
+    if k:
+        factors.append(new_lie_algebra(k, tuple(f"c{i}" for i in range(k)), {}))
+    L = factors.pop(0)
+    for factor in factors:
+        L = direct_product(L, factor)
+    return L
+
+
+class TestEarlyStoppedCertificate:
+    @pytest.mark.parametrize("name", list(_SPAN_SEARCH_INPUTS))
+    def test_same_kind_as_the_converged_span(self, name):
+        assert_early_stop_keeps_the_certificate(_SPAN_SEARCH_INPUTS[name]())
+
+    @given(st.one_of(two_step_nilpotent(), products_of_small_algebras()))
+    def test_same_kind_on_drawn_algebras(self, L):
+        # sampled ranks: with certification on, the reference eliminates the whole form
+        # family symbolically where Z(L) and [L, L] already rule a form out, which takes
+        # about 20 s for morozov6_8 times a 4-dimensional abelian factor
+        assert_early_stop_keeps_the_certificate(L, RankPolicy(certify=False))
+
+    def test_stabilizer_span_certificates_take_two_draws(self):
+        # the 9 stabilizer-span certificates of the search workload
+        names = ["diamond", "g5", "g6", "sl2_irr3", "B3 nilradical", "B4 nilradical",
+                 "D4 nilradical", "D5 nilradical", "B5 nilradical"]
+        for name in names:
+            L = _SPAN_SEARCH_INPUTS[name]()
+            cert = no_cp_certificate(L, P)
+            assert cert.kind == FSR_KIND and len(cert.functionals) == 2, name
+
+
+def rank_test_form(L, policy):
+    """`has_nondeg_invariant_form` as the generic rank of the whole form family against dim L."""
+    return index_module.generic_rank(index_module.invariant_symmetric_forms(L), policy).rank == L.dim
+
+
+def _form_check_inputs():
+    """The catalog, N and B of the A7, B5, C5, D5 Borels, and the `sweep` nilradicals
+    (type A with n <= 7, type C with r <= 4)."""
+    inputs = {name: lambda name=name: catalog.get(name) for name in catalog.names()}
+    for fam, r in (("A", 7), ("B", 5), ("C", 5), ("D", 5)):
+        inputs[f"{fam}{r} nilradical"] = lambda fam=fam, r=r: borel_data_classical(fam, r)[0]
+        inputs[f"{fam}{r} Borel"] = lambda fam=fam, r=r: borel_data_classical(fam, r)[1]
+    for c in (c for n in range(1, 8) for c in _compositions(n)):
+        inputs[f"A{c}"] = lambda c=c: nilradical_A(CompositionA(c))[0]
+    halves = [(r, s, half) for r in range(1, 5) for s in range(r + 1) for half in _compositions(s)]
+    for c in (CompositionC.from_half(h, r - s).parts for r, s, h in halves):
+        inputs[f"C{c}"] = lambda c=c: nilradical_C(CompositionC(c))[0]
+    return inputs
+
+
+_FORM_CHECK_INPUTS = _form_check_inputs()
+
+
+class TestInvariantFormCheck:
+    @pytest.mark.parametrize("name", list(_FORM_CHECK_INPUTS))
+    def test_same_answer_as_the_rank_test(self, name):
+        L = _FORM_CHECK_INPUTS[name]()
+        assert has_nondeg_invariant_form(L, P) == rank_test_form(L, P)
+
+    @given(st.one_of(two_step_nilpotent(), products_of_small_algebras()))
+    def test_same_answer_on_drawn_algebras(self, L):
+        # sampled ranks, for the reason given in test_same_kind_on_drawn_algebras
+        policy = RankPolicy(certify=False)
+        assert has_nondeg_invariant_form(L, policy) == rank_test_form(L, policy)
+
+    def test_inputs(self):
+        # 28 catalog entries, 8 Borel algebras, 127 type-A and 30 type-C compositions
+        assert len(_FORM_CHECK_INPUTS) == 28 + 8 + 127 + 30
+
+    @pytest.mark.parametrize(
+        "build", [lambda: catalog.get("heisenberg"), lambda: nilradical_A(CompositionA((1,) * 10))[0]],
+        ids=["heisenberg", "A(1^10)"],
+    )
+    def test_center_and_derived_algebra_decide_without_the_family(self, build):
+        # dim Z(L) + dim [L, L] < dim L: no form, and the n(n+1)/2-unknown system is never built
+        L = build()
+        assert not has_nondeg_invariant_form(L, P) and no_cp_certificate(L, P, kind=FORM_KIND) is None
+        assert L._invariant_forms == []

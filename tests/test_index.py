@@ -287,6 +287,19 @@ class TestFSR:
         assert target.contains_subspace(rep.subspace)
         assert rep.subspace == target  # sampling reaches the full span here
 
+    @pytest.mark.parametrize("build", [diamond, g5, morozov4, lambda: catalog.get("morozov6_4")])
+    def test_stop_is_asked_each_time_the_span_grows(self, build):
+        L = build()
+        asked = []
+        rep = frobenius_semiradical(L, P, stop=lambda span: asked.append(span) or False)
+        assert rep == frobenius_semiradical(L, P)
+        assert [s.dim for s in asked] == sorted({s.dim for s in asked}) and asked[-1] == rep.subspace
+        # stopping at the k-th growth keeps exactly the draws made up to it
+        for span in asked:
+            stopped = frobenius_semiradical(L, P, stop=lambda s: s.dim >= span.dim)
+            assert stopped.subspace == span and not stopped.converged
+            assert stopped.functionals == rep.functionals[: len(stopped.functionals)]
+
     def test_functionals_are_regular(self):
         rep = frobenius_semiradical(morozov4(), P)
         idx = index(morozov4(), P).index
