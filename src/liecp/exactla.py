@@ -10,29 +10,35 @@ reduced echelon form, depend only on the row space, not on row order.
 rows and returns them sparse or dense; `kernel` and the subspace calculus
 in `liealg`, which keeps them sparse, use `rref`.  There is no dense
 matrix type: a matrix of linear forms keeps one {col: form} mapping per
-row, and `evaluate` turns it into {col: value} rows.
+row.  Its rows are scaled once, on first use, by the lcm of their
+coefficient denominators (`LinFormMatrix.scaled`), which keeps the rank at
+every point; `_scaled_rows` evaluates them at an integer point, the one
+evaluation loop, and `evaluate` divides its {col: int} rows back into
+{col: Fraction} values.
 
 Rank over the field of rational functions in several variables
 (`generic_rank`) takes the first of these routes that settles it.
 
 * A sample meeting the term rank.  The matrix of linear forms is evaluated
-  at integer points drawn uniformly from [-B, B]^nvars.  Any
+  on integers at integer points drawn uniformly from [-B, B]^nvars.  Any
   specialization rank is a lower bound for the generic rank; by the
   Schwartz-Zippel lemma a single sample misses with probability at most
   min(rows, cols) / (2B + 1).  The term rank (`rank_bound`, rounded down
   to even for an alternating matrix) is an upper bound, so a sample that
   meets it certifies the rank with no elimination.
-* Slice elimination, for bracket matrices: `index` hands `generic_rank` an
-  elimination on a coadjoint slice, a matrix in far fewer variables
-  (`index.slice_rank`).
-* Full elimination otherwise: fraction-free (Bareiss) elimination carried
-  out symbolically over Z[x].  Rows are cleared of denominators, and each
+* The slice's term rank, for bracket matrices: `index` hands
+  `generic_rank` a coadjoint slice (`index.slice_rank`), a matrix in far
+  fewer variables with the same generic rank.  Its term rank is again an
+  upper bound, so a sample that meets it certifies the rank.
+* Slice elimination: otherwise the slice is eliminated symbolically.
+* Full elimination for every other matrix: fraction-free (Bareiss)
+  elimination carried out symbolically over Z[x] on the scaled rows.  Each
   entry is a sparse polynomial with integer coefficients and monomials
   packed into one int each.  All divisions are exact by Sylvester's
   identity.
 
-Both eliminations run unless `RankPolicy.certify` is off; then the highest
-sampled rank is returned uncertified.
+The slice and both eliminations run unless `RankPolicy.certify` is off;
+then the highest sampled rank is returned uncertified.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -83,14 +90,19 @@ def _primitive(row: Row) -> Row | None:
 
 
 def _int_row(r: RowLike, cols: int) -> Row | None:
-    """r cleared of denominators by their lcm into a primitive {col: int}; columns must lie in range(cols)."""
-    mapping = isinstance(r, Mapping)
-    nonzero = [(j, x) for j, x in (r.items() if mapping else enumerate(r)) if x]
-    outside = any(not 0 <= j < cols for j in r) if mapping else nonzero and nonzero[-1][0] >= cols
+    """r cleared of denominators by their lcm into a primitive {col: int}; columns must lie in range(cols).
+
+    Rows of ints, as `_scaled_rows` gives them, have lcm 1 and are only made primitive."""
+    if isinstance(r, Mapping):
+        nonzero = {j: x for j, x in r.items() if x}
+        outside = r and (min(r) < 0 or max(r) >= cols)
+    else:
+        nonzero = {j: x for j, x in enumerate(r) if x}
+        outside = nonzero and max(nonzero) >= cols
     if outside:
         raise ValueError(f"row has a column outside range({cols})")
-    den = lcm(*(x.denominator for _, x in nonzero))
-    return _primitive({j: x.numerator * (den // x.denominator) for j, x in nonzero})
+    den = lcm(*[x.denominator for x in nonzero.values()])
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in nonzero.items()})
 
 
 def _eliminate(row: Row, piv: Row, c: int) -> Row | None:
@@ -254,21 +266,58 @@ class LinFormMatrix:
             data.append({j: form for j, form in forms if form})
         return LinFormMatrix(rows, cols, nvars, tuple(data))
 
+    @cached_property
+    def scaled(self) -> tuple[tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]], ...]:
+        """Per row, (s, forms): s is the lcm of the row's coefficient denominators, and forms holds
+        (col, ((var, s * coefficient), ...)) for each entry, with integer coefficients.
 
-def evaluate(m: LinFormMatrix, point: VecLike) -> list[dict[int, Fraction]]:
-    """Every linear form specialized at the given point: one {col: value} row per row, without zeros."""
-    pt = as_vector(point)
-    if len(pt) != m.nvars:
+        Scaling a row by s keeps the rank, and keeps rows independent, at every point.
+        Computed on first use and kept on this matrix only."""
+        out = []
+        for row in self.entries:
+            s = lcm(*[c.denominator for form in row.values() for c in form.values()])
+            forms = tuple(
+                (j, tuple([(k, c.numerator * (s // c.denominator)) for k, c in form.items()]))
+                for j, form in row.items()
+            )
+            out.append((s, forms))
+        return tuple(out)
+
+
+def _int_point(point: VecLike) -> tuple[list[int], int]:
+    """point times d, the lcm of its denominators, as ints; and d."""
+    d = lcm(*[x.denominator for x in point])
+    return [x.numerator * (d // x.denominator) for x in point], d
+
+
+def _scaled_rows(m: LinFormMatrix, point: Sequence[int], rows: Iterable[int]) -> list[Row]:
+    """For each i in rows, row i of m at the integer point times the row's scale: {col: int} without zeros.
+
+    The one evaluation loop: it reads `m.scaled`, so every value is an integer.
+    """
+    if len(point) != m.nvars:
         raise ValueError("point length must equal nvars")
+    scaled = m.scaled
     out = []
-    for row in m.entries:
+    for i in rows:
         values = {}
-        for j, form in row.items():
-            v = sum([c * pt[k] for k, c in form.items()], ZERO)
+        for j, form in scaled[i][1]:
+            v = 0
+            for k, c in form:
+                v += c * point[k]
             if v:
                 values[j] = v
         out.append(values)
     return out
+
+
+def evaluate(m: LinFormMatrix, point: VecLike) -> list[dict[int, Fraction]]:
+    """Every linear form specialized at the given point: one {col: value} row per row, without zeros.
+
+    `_scaled_rows` at the point cleared of denominators, each row divided back by its scale."""
+    pt, d = _int_point(point)
+    rows = _scaled_rows(m, pt, range(m.rows))
+    return [{j: Fraction(v, s * d) for j, v in row.items()} for (s, _), row in zip(m.scaled, rows)]
 
 
 @dataclass(frozen=True)
@@ -306,10 +355,10 @@ class RankResult(NamedTuple):
 
 
 def _symbolic_rank(m: LinFormMatrix) -> int:
-    """Fraction-free (Bareiss) elimination over Z[x], on a dense working array built from m's rows.
+    """Fraction-free (Bareiss) elimination over Z[x], on a dense working array built from `m.scaled`.
 
-    Each row is scaled by the lcm of its coefficient denominators, which
-    keeps the rank and every entry's term count.  Pivot selection:
+    Scaling each row by the lcm of its coefficient denominators keeps the
+    rank and every entry's term count.  Pivot selection:
     fewest-terms nonzero entry first, ties by lowest (row, col), which limits
     term growth and is deterministic.  Row and column swaps both preserve
     rank.  Every division is exact by Sylvester's identity.
@@ -321,11 +370,10 @@ def _symbolic_rank(m: LinFormMatrix) -> int:
     var = [1 << ((m.nvars - 1 - k) * width) for k in range(m.nvars)]
     guard = sum(var) << (width - 1)
     a = []
-    for row in m.entries:
-        den = lcm(*(c.denominator for form in row.values() for c in form.values()))
+    for _, forms in m.scaled:
         dense: list[dict[int, int]] = [{}] * nc  # entries are replaced below, never changed in place
-        for j, form in row.items():
-            dense[j] = {var[k]: c.numerator * (den // c.denominator) for k, c in form.items()}
+        for j, form in forms:
+            dense[j] = {var[k]: c for k, c in form}
         a.append(dense)
     rank = 0
     prev: dict[int, int] | None = None
@@ -430,11 +478,13 @@ def generic_rank(
        rank is a lower bound and the term rank an upper bound, so a sample
        that meets it certifies the rank with no elimination.  Full rank is
        the special case where the term rank is min(rows, cols).
-    2. Elimination, under `policy.certify`, right after the first sample
-       that misses the bound: further samples cannot change an exact
-       elimination.  It is `eliminate(m, point)` with `point` that sample,
-       or else the symbolic Bareiss elimination of the whole of m.  `index`
-       passes a coadjoint-slice elimination for bracket matrices here.
+    2. Under `policy.certify`, right after the first sample that misses the
+       bound (further samples cannot change an exact result):
+       `eliminate(m, point)` with `point` that sample, or else the symbolic
+       Bareiss elimination of the whole of m.  `index` passes
+       `index.slice_rank` for bracket matrices here; it certifies the rank
+       by the term rank of a coadjoint slice when the sample meets it, and
+       eliminates on the slice only otherwise.
     3. Otherwise, with certification off, the highest sampled rank,
        uncertified.
     """
@@ -445,7 +495,7 @@ def generic_rank(
     best, best_point = -1, ()
     for _ in range(1 if policy.certify else policy.samples):
         point = random_point(rng, m.nvars, policy.coeff_bound)
-        r = rank_exact(evaluate(m, point), m.cols)
+        r = rank_exact(_scaled_rows(m, _int_point(point)[0], range(m.rows)), m.cols)
         if r == bound:
             return RankResult(r, True)
         if r > best:
@@ -467,6 +517,6 @@ def full_rank_witness(m: LinFormMatrix, policy: RankPolicy = DEFAULT_POLICY) -> 
     rng = random.Random(policy.seed)
     for _ in range(max(policy.samples, 16)):
         point = random_point(rng, m.nvars, policy.coeff_bound)
-        if rank_exact(evaluate(m, point), m.cols) == m.rows:
+        if rank_exact(_scaled_rows(m, _int_point(point)[0], range(m.rows)), m.cols) == m.rows:
             return point
     return None

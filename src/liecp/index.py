@@ -2,9 +2,11 @@
 
 The index is dim L minus the generic rank of the bracket matrix, the
 antisymmetric matrix of linear forms whose (i, j) entry expands [x_i, x_j]
-in dual coordinates; a sample meeting its term rank certifies that rank,
-and otherwise elimination on a coadjoint slice (`slice_rank`) does, unless
-the policy turns certification off.  A functional is regular when its
+in dual coordinates; a sample meeting its term rank certifies that rank.
+Otherwise, unless the policy turns certification off, a coadjoint slice
+(`slice_rank`) does: the sample meeting the slice's term rank, or else
+symbolic elimination on the slice.  Samples and slice checks run on
+integer rows (`exactla._scaled_rows`).  A functional is regular when its
 stabilizer reaches that minimum; the span of stabilizers over sampled
 regular functionals is a certified *subset* of the full stabilizer-span
 ideal, which is all the soundness downstream no-CP certificates need.
@@ -25,11 +27,13 @@ from .exactla import (
     LinFormMatrix,
     RankPolicy,
     _echelon,
+    _int_point,
+    _scaled_rows,
     _symbolic_rank,
-    evaluate,
     generic_rank,
     kernel,
     random_point,
+    rank_bound,
     rank_exact,
 )
 from .liealg import Functional, LieAlgebra, Subspace, center, derived_subalgebra
@@ -52,43 +56,43 @@ def bracket_matrix(L: LieAlgebra) -> LinFormMatrix:
     return LinFormMatrix(L.dim, L.dim, L.dim, tuple(rows))
 
 
-def _spans_off_slice(m: LinFormMatrix, point: Sequence[Fraction], t: Sequence[int]) -> bool:
+def _spans_off_slice(m: LinFormMatrix, point: Sequence[Fraction | int], t: Sequence[int]) -> bool:
     """At point zeroed off t, the rows of m outside t have rank n - |t|.
 
-    Only those rows are evaluated, as {col: value} rows on the coordinates in t.
+    Only those rows are evaluated (`_scaled_rows`), at the zeroed point cleared of denominators.
     """
-    xi0 = {k: point[k] for k in t}
-    outside = [
-        {j: sum([c * xi0[k] for k, c in form.items() if k in xi0], ZERO) for j, form in row.items()}
-        for i, row in enumerate(m.entries)
-        if i not in xi0
-    ]
+    keep = set(t)
+    xi0, _ = _int_point([x if k in keep else 0 for k, x in enumerate(point)])
+    outside = _scaled_rows(m, xi0, [i for i in range(m.rows) if i not in keep])
     return rank_exact(outside, m.cols) == len(outside)
 
 
-def slice_coordinates(m: LinFormMatrix, point: Sequence[Fraction]) -> list[int]:
-    """Coordinates t of a coadjoint slice for the bracket matrix m, found from one sample.
-
-    Starts from the rows of m(point) that depend on earlier rows (the
-    non-pivots of `_echelon` on its transpose), adds coordinates in basis
-    order until `_spans_off_slice` holds, then drops every coordinate whose
-    removal keeps it.  All coordinates always pass.
-    """
+def _slice(m: LinFormMatrix, point: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """`slice_coordinates(m, point)`, and the rank of m at point."""
     n = m.rows
-    columns: list[dict[int, Fraction]] = [{} for _ in range(m.cols)]
-    for i, row in enumerate(evaluate(m, point)):
-        for j, x in row.items():
-            columns[j][i] = x
-    independent = _echelon(columns, n)
+    pt = _int_point(point)[0]  # point times a positive integer: the same slice checks
+    # m(point) is alternating, so its rows that depend on earlier rows are the non-pivot columns
+    independent = _echelon(_scaled_rows(m, pt, range(n)), n)
     t = [k for k in range(n) if k not in independent]
     spare = [k for k in range(n) if k in independent]
-    while not _spans_off_slice(m, point, t):
+    while not _spans_off_slice(m, pt, t):
         t = sorted(t + [spare.pop(0)])
     for k in list(t):
         smaller = [c for c in t if c != k]
-        if _spans_off_slice(m, point, smaller):
+        if _spans_off_slice(m, pt, smaller):
             t = smaller
-    return t
+    return t, len(independent)
+
+
+def slice_coordinates(m: LinFormMatrix, point: Sequence[Fraction | int]) -> list[int]:
+    """Coordinates t of a coadjoint slice for the bracket matrix m, found from one sample.
+
+    Starts from the rows of m(point) that depend on earlier rows (the
+    non-pivot columns of `_echelon` on m(point), which is alternating), adds
+    coordinates in basis order until `_spans_off_slice` holds, then drops
+    every coordinate whose removal keeps it.  All coordinates always pass.
+    """
+    return _slice(m, point)[0]
 
 
 def slice_matrix(m: LinFormMatrix, t: Sequence[int]) -> LinFormMatrix:
@@ -101,8 +105,8 @@ def slice_matrix(m: LinFormMatrix, t: Sequence[int]) -> LinFormMatrix:
     return LinFormMatrix(m.rows, m.cols, len(t), tuple(rows))
 
 
-def slice_rank(m: LinFormMatrix, point: Sequence[Fraction]) -> int:
-    """Generic rank of a bracket matrix by symbolic elimination on a coadjoint slice.
+def slice_rank(m: LinFormMatrix, point: Sequence[Fraction | int]) -> int:
+    """Generic rank of a bracket matrix, certified on a coadjoint slice.
 
     Let m(xi) be the bracket matrix of L at xi in L*, t a set of
     coordinates, S = {xi : xi_k = 0 for k not in t}, and xi0 in S a point
@@ -124,15 +128,23 @@ def slice_rank(m: LinFormMatrix, point: Sequence[Fraction]) -> int:
     of C^n exactly when the rows of m(xi0) outside t have rank n - |t|, so
     then V contains an open set, hence is everything: every
     (r_S + 1)-minor of m vanishes identically and r <= r_S.
+
+    The slice's term rank often settles r_S with no elimination.  m on S is
+    alternating, since m is, so r_S <= b := `rank_bound(m on S)`, its term
+    rank rounded down to even.  The rank r_0 of m(point) is a lower bound
+    for r, so r_0 <= r = r_S <= b, and r_0 = b proves r = r_0.  Only when
+    r_0 < b is m on S eliminated symbolically (`_symbolic_rank`).
     """
-    return _symbolic_rank(slice_matrix(m, slice_coordinates(m, point)))
+    t, sampled = _slice(m, point)
+    s = slice_matrix(m, t)
+    return sampled if rank_bound(s) == sampled else _symbolic_rank(s)
 
 
 def index(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) -> IndexReport:
     """Computed once per algebra instance and policy, then kept on the instance.
 
     When a sample misses the term rank and `policy.certify` is on, the
-    bracket matrix is eliminated on a coadjoint slice (`slice_rank`).
+    rank is certified on a coadjoint slice (`slice_rank`).
     """
     if policy not in L._index_reports:
         rank, certified = generic_rank(bracket_matrix(L), policy, eliminate=slice_rank)
@@ -288,14 +300,19 @@ def nondeg_invariant_form(L: LieAlgebra, policy: RankPolicy = DEFAULT_POLICY) ->
     invariant B has B(z, [x, y]) = B([z, x], y), so z is orthogonal to
     [L, L] iff [z, x] = 0 for every x: [L, L]^perp = Z(L), and
     dim Z(L) + dim [L, L] = dim L.  When that fails the answer is a
-    certified no.  Otherwise it is the generic rank of the family
-    (`invariant_symmetric_forms`) against dim L.  A "yes" is always
-    certified, since a sample at full rank proves it; a "no" is certified
-    only when the rank is.
+    certified no.  Next the term rank of the family
+    (`invariant_symmetric_forms`), an upper bound for its rank: below dim L,
+    it too proves "no", with no sampling.  Otherwise the answer is the
+    generic rank of the family against dim L.  A "yes" is always certified,
+    since a sample at full rank proves it; a "no" is certified only when
+    the rank is.
     """
     if center(L).dim + derived_subalgebra(L).dim != L.dim:
         return False, True
-    rank, certified = generic_rank(invariant_symmetric_forms(L), policy)
+    forms = invariant_symmetric_forms(L)
+    if rank_bound(forms) < L.dim:
+        return False, True
+    rank, certified = generic_rank(forms, policy)
     return rank == L.dim, certified
 
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, product
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
     AmbientMismatch,
@@ -47,6 +48,7 @@ Vector = tuple[Fraction, ...]
 SparseVector = dict[int, Fraction]  # nonzero coordinates by basis index
 SparseMat = dict[tuple[int, int], Fraction]  # a matrix: nonzero entries by (row, col)
 ScTable = Mapping[int, Fraction]
+T = TypeVar("T", int, Fraction)
 
 
 def _sparse_vector(v: RowLike, n: int) -> SparseVector:
@@ -267,13 +269,20 @@ class LieAlgebra:
         return []
 
 
-def _jacobi_defect(signed: Mapping[tuple[int, int], ScTable], i: int, j: int, k: int) -> dict[int, Fraction]:
-    """Nonzero coordinates of [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j]."""
-    acc: dict[int, Fraction] = {}
+def _signed(sc: Mapping[tuple[int, int], Mapping[int, T]]) -> dict[tuple[int, int], Mapping[int, T]]:
+    """The table for both orders of each key: [x_j, x_i] = -[x_i, x_j]."""
+    return {(j, i): {k: -c for k, c in table.items()} for (i, j), table in sc.items()} | dict(sc)
+
+
+def _jacobi_defect(signed: Mapping[tuple[int, int], Mapping[int, T]], i: int, j: int, k: int) -> dict[int, T]:
+    """Nonzero coordinates of [[x_i, x_j], x_k] + [[x_j, x_k], x_i] + [[x_k, x_i], x_j].
+
+    They are ints or Fractions, as the table's entries are."""
+    acc = {}
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
         for p, coeff in signed.get((a, b), {}).items():
             for q, d in signed.get((p, c), {}).items():
-                acc[q] = acc.get(q, ZERO) + coeff * d
+                acc[q] = acc.get(q, 0) + coeff * d
     return {q: x for q, x in acc.items() if x}
 
 
@@ -322,10 +331,17 @@ def new_lie_algebra(
     support and a partner c of p outside {a, b}) has defect zero, and skipping
     it loses no failure.  Swapping a and b only flips the sign of the table, so
     the keys a < b suffice.
+
+    The defects are computed on integers: on the table times D, the lcm of its
+    denominators, every defect is D^2 times the true one, so it is zero exactly
+    when the true one is.  Only the first failing triple's defect is computed
+    again on the table itself, for the `JacobiViolation`.
     """
     labels = tuple(labels)
     sc = _clean_table("bracket", dim, labels, brackets)
-    signed = {(j, i): {k: -c for k, c in table.items()} for (i, j), table in sc.items()} | sc
+    den = lcm(*[c.denominator for table in sc.values() for c in table.values()])
+    scaled = {key: {k: c.numerator * (den // c.denominator) for k, c in table.items()} for key, table in sc.items()}
+    signed = _signed(scaled)
     partners: list[set[int]] = [set() for _ in range(dim)]
     for i, j in signed:
         partners[i].add(j)
@@ -337,8 +353,8 @@ def new_lie_algebra(
         if c != a and c != b
     }
     for i, j, k in sorted(triples):
-        defect = _jacobi_defect(signed, i, j, k)
-        if defect:
+        if _jacobi_defect(signed, i, j, k):
+            defect = _jacobi_defect(_signed(sc), i, j, k)
             raise JacobiViolation((i, j, k), tuple(defect.get(q, ZERO) for q in range(dim)), labels)
     return LieAlgebra(dim, labels, sc)
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ import pytest
 from liecp.catalog import data_text
 from liecp.cli import build_parser, main
 from liecp.index import invariant_symmetric_forms
-from liecp.liealg import serialize_algebra
-from liecp.parabolic import CompositionA, nilradical_A
+from liecp.liealg import new_lie_algebra, serialize_algebra
+from liecp.parabolic import CompositionA, borel_data_classical, nilradical_A
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ROOT = README.parent
@@ -60,6 +61,17 @@ class TestBasicCommands:
         code, payload = run_json(["index", diamond_file])
         assert code == 0 and payload["index"] == 2 and payload["certified"]
         assert payload["schema"] == "liecp/1"
+
+    def test_index_with_rational_structure_constants(self, tmp_path):
+        # the A4 Borel in the basis y_i = q_i x_i: the file has non-integer constants
+        L = borel_data_classical("A", 4)[1]
+        q = [F(2, 3), F(-5, 7), F(3)] * 5
+        sc = {(i, j): {k: q[i] * q[j] * c / q[k] for k, c in t.items()} for (i, j), t in L.sc.items()}
+        path = tmp_path / "borel_A4_rescaled.alg"
+        path.write_text(serialize_algebra(new_lie_algebra(L.dim, L.labels, sc)))
+        assert "/" in path.read_text()
+        code, payload = run_json(["index", str(path)])
+        assert code == 0 and (payload["index"], payload["certified"]) == (2, True)
 
     def test_center(self, diamond_file):
         code, payload = run_json(["center", diamond_file])

@@ -267,6 +267,16 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(diamond_bracket_matrix(), [1, 2, 3])
 
+    def test_rows_scaled_by_the_lcm_of_their_denominators(self):
+        m = LinFormMatrix(2, 2, 2, ({0: {0: F(1, 2)}, 1: {0: F(1), 1: F(-2, 3)}}, {}))
+        assert m.scaled == ((6, ((0, ((0, 3),)), (1, ((0, 6), (1, -4))))), (1, ()))
+
+    def test_rational_point_and_coefficients(self):
+        # row 0 times 6 at the point times 4 is (9, 34); divided back by 24
+        m = LinFormMatrix(2, 2, 2, ({0: {0: F(1, 2)}, 1: {0: F(1), 1: F(-2, 3)}}, {}))
+        assert evaluate(m, (F(3, 4), F(-1))) == [{0: F(3, 8), 1: F(17, 12)}, {}]
+        assert all(type(x) is F for x in evaluate(m, (1, 2))[0].values())
+
 
 class TestGenericRank:
     def test_cross_product_matrix(self):

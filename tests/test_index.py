@@ -14,6 +14,7 @@ from liecp.exactla import (
     evaluate,
     generic_rank,
     random_point,
+    rank_bound,
     rank_exact,
     rref,
 )
@@ -366,6 +367,24 @@ class TestInvariantForms:
         point = [F(int(x.p), int(x.q)) for x in sol.subs({t: 0 for t in params})]
         assert evaluate(fam, point) == [{j: x for j, x in enumerate(row) if x} for row in target]
 
+    @pytest.mark.parametrize("policy", [P, RankPolicy(certify=False)], ids=["certify", "sample"])
+    def test_term_rank_below_dim_is_a_certified_no(self, policy, monkeypatch):
+        # Z(L) + [L, L] has dimension 19 = dim L, but the 49-variable family has term
+        # rank 14 < 19: a certified no with no sampling and no elimination
+        L = direct_product(
+            direct_product(catalog.get("free_two_step", n=4), catalog.get("morozov6_8")), catalog.get("h3")
+        )
+        forms = invariant_symmetric_forms(L)
+        assert (L.dim, forms.nvars, index_module.rank_bound(forms)) == (19, 49, 14)
+        assert center(L).dim + index_module.derived_subalgebra(L).dim == L.dim
+
+        def fail(*args, **kwargs):
+            raise AssertionError("sampled or eliminated")
+
+        monkeypatch.setattr(index_module, "generic_rank", fail)
+        monkeypatch.setattr(index_module, "_symbolic_rank", fail)
+        assert index_module.nondeg_invariant_form(L, policy) == (False, True)
+
 
 def _dense_invariant_forms(L):
     """Reference: one dense row per (i, j <= k), zero rows dropped, and the
@@ -592,6 +611,37 @@ class TestIndexComputedOnce:
         assert index(first, other).index == index(second, P).index == 2
 
 
+_SCALES = (F(2, 3), F(-5, 7), F(3), F(-1, 2), F(7, 4))
+
+
+def rescaled(L):
+    """L in the basis y_i = q_i x_i, q_i cycling through _SCALES: [y_i, y_j] = sum_k q_i q_j c_ij^k / q_k y_k."""
+    q = [_SCALES[i % len(_SCALES)] for i in range(L.dim)]
+    sc = {(i, j): {k: q[i] * q[j] * c / q[k] for k, c in table.items()} for (i, j), table in L.sc.items()}
+    return new_lie_algebra(L.dim, L.labels, sc)
+
+
+_RESCALED_CASES = [pytest.param(lambda name=name: catalog.get(name), id=name) for name in catalog.names()] + [
+    pytest.param(lambda: borel_data_classical("A", 4)[1], id="A4 Borel"),
+    pytest.param(lambda: borel_data_classical("B", 3)[1], id="B3 Borel"),
+    pytest.param(lambda: borel_data_classical("B", 3)[0], id="B3 nilradical"),
+]
+
+
+class TestRationalStructureConstants:
+    """A basis rescaled by rational factors gives rational structure constants and the same answers."""
+
+    @pytest.mark.parametrize("build", _RESCALED_CASES)
+    def test_same_index_rank_and_certificate(self, build):
+        L = build()
+        R = rescaled(L)
+        if L.sc:
+            assert any(c.denominator > 1 for table in R.sc.values() for c in table.values())
+        for policy in (P, RankPolicy(certify=False)):
+            assert index(R, policy) == index(L, policy)
+        assert has_nondeg_invariant_form(R, P) == has_nondeg_invariant_form(L, P)
+
+
 def _compositions(n):
     if n == 0:
         yield ()
@@ -659,7 +709,8 @@ class TestCoadjointSlice:
         point = _sample(m)
         t = slice_coordinates(m, point)
         assert _spans_off_slice(m, point, t)
-        assert slice_rank(m, point) == _symbolic_rank(slice_matrix(m, t)) == _symbolic_rank(m)
+        s = slice_matrix(m, t)
+        assert slice_rank(m, point) == rank_bound(s) == _symbolic_rank(s) == _symbolic_rank(m)
 
     @pytest.mark.parametrize("name", catalog.names())
     def test_slice_below_the_index_is_rejected(self, name):
@@ -694,18 +745,50 @@ class TestCoadjointSlice:
         assert not _spans_off_slice(m, _sample(m), torus)
 
     def test_index_eliminates_on_the_slice(self, monkeypatch):
+        # a slice bound above the sampled rank leaves the slice to elimination
         seen = []
         real = index_module._symbolic_rank
+        bound = index_module.rank_bound
 
         def recording(m):
             seen.append(m.nvars)
             return real(m)
 
         monkeypatch.setattr(index_module, "_symbolic_rank", recording)
+        monkeypatch.setattr(index_module, "rank_bound", lambda m: bound(m) + 2)
         L = borel_data_classical("B", 3)[0]
         rep = index(L, RankPolicy(certify=True))
         assert (rep.index, rep.certified) == (3, True)
         assert seen and all(nvars < L.dim for nvars in seen)
+
+    @pytest.mark.parametrize(
+        "build, want",
+        [
+            (lambda: catalog.get("sl2_irr3"), 2),
+            (lambda: borel_data_classical("A", 4)[1], 2),
+            (lambda: borel_data_classical("B", 3)[0], 3),
+            (lambda: borel_data_classical("D", 4)[0], 4),
+            (lambda: rescaled(borel_data_classical("B", 3)[0]), 3),
+        ],
+        ids=["sl2_irr3", "A4 Borel", "B3 nilradical", "D4 nilradical", "rescaled B3 nilradical"],
+    )
+    def test_slice_term_rank_certifies_without_elimination(self, build, want, monkeypatch):
+        # the sample misses the bracket matrix's term rank and reaches the slice, whose
+        # term rank equals the sampled rank; each index is the full elimination's
+        L = build()
+        reached = []
+
+        def recording(m, point):
+            reached.append(m)
+            return slice_rank(m, point)
+
+        def fail(m):
+            raise AssertionError("eliminated")
+
+        monkeypatch.setattr(index_module, "slice_rank", recording)
+        monkeypatch.setattr(index_module, "_symbolic_rank", fail)
+        rep = index(L, RankPolicy(certify=True))
+        assert reached and (rep.index, rep.certified) == (want, True)
 
     def test_elimination_below_a_sample_raises(self):
         m = bracket_matrix(borel_data_classical("B", 3)[0])

@@ -793,6 +793,30 @@ class TestSparseAgainstDense:
                 new_lie_algebra(L.dim, L.labels, brackets)
             assert (info.value.triple, info.value.defect) == expected
 
+    @given(st.data())
+    def test_perturbed_rational_algebra_matches_dense_check(self, data):
+        # rescale the basis of a catalog algebra, x_i -> q_i x_i, so its constants are
+        # rational, then change one coefficient to a rational one, or drop it
+        L = data.draw(st.sampled_from(_CATALOG_ALGEBRAS))
+        q = data.draw(st.lists(st.sampled_from([F(2, 3), F(-5, 7), F(3), F(-1, 2)]), min_size=L.dim, max_size=L.dim))
+        sc = {(i, j): {k: q[i] * q[j] * c / q[k] for k, c in t.items()} for (i, j), t in L.sc.items()}
+        assert new_lie_algebra(L.dim, L.labels, sc).sc == sc
+        pair = data.draw(st.sampled_from(list(combinations(range(L.dim), 2))))
+        table = sc.setdefault(pair, {})
+        k = data.draw(st.integers(0, L.dim - 1))
+        c = data.draw(st.sampled_from([F(0), F(-5, 7), F(2, 3), F(9, 4)]).filter(lambda c: c != table.get(k, 0)))
+        table[k] = c
+        brackets = {key: terms for key, terms in sc.items() if any(terms.values())}
+        sc = {key: {p: x for p, x in terms.items() if x} for key, terms in brackets.items()}
+        expected = dense_jacobi_failure(L.dim, sc)
+        if expected is None:
+            assert new_lie_algebra(L.dim, L.labels, brackets).sc == sc
+        else:
+            with pytest.raises(JacobiViolation) as info:
+                new_lie_algebra(L.dim, L.labels, brackets)
+            assert (info.value.triple, info.value.defect) == expected
+            assert all(type(x) is F for x in info.value.defect)
+
 
 def _triples_with_a_double_bracket(L):
     """The triples i < j < k where some cyclic [[x_a, x_b], x_c] has a term in the tables."""

@@ -359,7 +359,8 @@ class TestEvaluateAndRank:
         grid = [[data.draw(forms) if nvars else {} for _ in range(cols)] for _ in range(rows)]
         m = LinFormMatrix.build(rows, cols, nvars, lambda i, j: grid[i][j])
         assert all(form for row in m.entries for form in row.values())
-        point = data.draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars))
+        coords = st.one_of(st.integers(-2, 2), st.builds(F, st.integers(-3, 3), st.integers(1, 4)))
+        point = data.draw(st.lists(coords, min_size=nvars, max_size=nvars))
         assert_evaluations_match(m, point)
 
 
