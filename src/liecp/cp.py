@@ -3,8 +3,10 @@
 A commutative polarization (CP) of L is an abelian subalgebra P with
 dim P = (dim L + index L) / 2; equivalently P = P^f for some functional f
 (necessarily regular), equivalently the generic rank of the bracket
-pairing between P and L equals dim L - dim P.  Every check of provably
-equivalent conditions, here and in constructions.py, evaluates each
+pairing between P and L equals dim L - dim P.  Given such an f, `is_cp`
+proves the index and the pairing rank from (P, f) alone, with no sampled
+rank; P^f and L^f are read off one B_f (`polarization_at`).  Every check
+of provably equivalent conditions, here and in constructions.py, evaluates each
 condition once under the caller's policy.  Under `policy.certify` every
 rank is exact, so a disagreement can only be an elimination bug and raises
 `InconsistentConditions`; with certification off the report carries what
@@ -107,7 +109,7 @@ class CPReport:
     index: int
     rank_value: int
     certified: bool
-    witness_f: Functional | None = None
+    witness_f: Functional | None = None  # the f whose (P, f) proved the report, if one did
 
 
 def pairing_matrix(L: LieAlgebra, p: Subspace) -> LinFormMatrix:
@@ -116,13 +118,41 @@ def pairing_matrix(L: LieAlgebra, p: Subspace) -> LinFormMatrix:
     return LinFormMatrix(p.dim, L.dim, L.dim, tuple(rows))
 
 
-def is_cp(L: LieAlgebra, p: Subspace, policy: RankPolicy = DEFAULT_POLICY) -> CPReport:
-    """Check the dimension and generic-rank characterizations and their agreement."""
+def is_cp(
+    L: LieAlgebra,
+    p: Subspace,
+    policy: RankPolicy = DEFAULT_POLICY,
+    witness: tuple[Functional, Subspace, Subspace] | None = None,
+) -> CPReport:
+    """Check the dimension and generic-rank characterizations and their agreement.
+
+    Given a witness (f, P^f, L^f), with P^f and L^f from `polarization_at`,
+    the report is first proved from (P, f), with no sampled rank.  Suppose P
+    is abelian (checked exactly), P^f = P and dim L^f = 2 dim P - dim L.
+
+    Index.  i(L) = dim L^f.  P is abelian, so it is isotropic for every
+    B_g, whose radical is L^g, and so dim P <= (dim L + dim L^g)/2.  For a
+    regular g, dim L^g = i(L): so dim L^f = 2 dim P - dim L <= i(L).  And
+    i(L) <= dim L^g for every g, f included.
+
+    Pairing rank.  The pairing matrix at g has rows [h, x_j] for h in P and
+    kernel P^g, which contains P for every g since P is abelian; so its rank
+    is at most dim L - dim P everywhere.  At f the kernel is P^f = P, so
+    the rank there is dim L - dim P, the maximum: that is the generic rank.
+
+    Then P is a CP, the report is certified and `witness_f` is f.
+    Otherwise (or with no witness) the index is `index(L, policy)` and the
+    pairing rank is sampled by `generic_rank`.
+    """
     if p.ambient_dim != L.dim:
         raise AmbientMismatch("subspace ambient dimension differs from the algebra")
     abelian = is_abelian(L, p)
     subalg = abelian or is_subalgebra(L, p)  # an abelian span is closed
     ideal = is_ideal(L, p)
+    if witness is not None and abelian:
+        f, perp, stab = witness
+        if perp == p and stab.dim == 2 * p.dim - L.dim:
+            return CPReport(True, ideal, True, True, True, True, p.dim, stab.dim, L.dim - p.dim, True, f)
 
     rep = index(L, policy)
     cond_dim = 2 * p.dim == L.dim + rep.index
@@ -145,14 +175,11 @@ def is_cp(L: LieAlgebra, p: Subspace, policy: RankPolicy = DEFAULT_POLICY) -> CP
     )
 
 
-def perp_of(L: LieAlgebra, p: Subspace, f: Functional) -> Subspace:
-    """P^f = {x in L : f([x, h]) = 0 for all h in P}, computed exactly.
-
-    The condition for h is the row B_f h, since f([x_j, h]) = sum_a h_a f([x_j, x_a]).
-    """
+def _perp(L: LieAlgebra, p: Subspace, bf: list[dict[int, Fraction]]) -> Subspace:
+    """P^f from the rows of B_f: the condition for h is the row B_f h, since
+    f([x_j, h]) = sum_a h_a f([x_j, x_a])."""
     if p.ambient_dim != L.dim:
         raise AmbientMismatch("subspace ambient dimension differs from the algebra")
-    bf = _bf_rows(L, f)
     rows = []
     for h in p.rows:
         # the row h^T B_f = -(B_f h)^T, a combination of the rows of B_f
@@ -161,6 +188,17 @@ def perp_of(L: LieAlgebra, p: Subspace, f: Functional) -> Subspace:
             _accumulate(row, bf[a], x)
         rows.append(row)
     return Subspace(L.dim, tuple(kernel(rows, L.dim, sparse=True)))
+
+
+def perp_of(L: LieAlgebra, p: Subspace, f: Functional) -> Subspace:
+    """P^f = {x in L : f([x, h]) = 0 for all h in P}, computed exactly."""
+    return _perp(L, p, _bf_rows(L, f))
+
+
+def polarization_at(L: LieAlgebra, p: Subspace, f: Functional) -> tuple[Subspace, Subspace]:
+    """(P^f, L^f), both from one B_f."""
+    bf = _bf_rows(L, f)
+    return _perp(L, p, bf), Subspace(L.dim, tuple(kernel(bf, L.dim, sparse=True)))
 
 
 def cp_witness_functional(
@@ -173,7 +211,8 @@ def cp_witness_functional(
     rng = random.Random(policy.seed)
     for _ in range(attempts):
         f = Functional(L.dim, random_point(rng, L.dim, policy.coeff_bound))
-        if perp_of(L, p, f) == p and stabilizer(L, f).dim == idx.index:
+        perp, stab = polarization_at(L, p, f)
+        if perp == p and stab.dim == idx.index:
             return f
     return None
 
@@ -305,7 +344,7 @@ def _commuting_sets(
 ) -> Iterator[tuple[int, ...]]:
     """Label sets of `size` whose basis vectors pairwise commute and that miss at
     most `missing` labels of `required`, in `itertools.combinations` order."""
-    clash = [{j for j in range(L.dim) if L.bracket_table(i, j)} for i in range(L.dim)]
+    clash = [{j for j, _, _ in row} for row in L._partners]
 
     def walk(chosen, free):
         if len(chosen) == size:

@@ -445,12 +445,30 @@ def term_rank(m: LinFormMatrix) -> int:
 
 
 def is_alternating(m: LinFormMatrix) -> bool:
-    """m is square with zero diagonal and m[j][i] = -m[i][j] for every entry."""
+    """m is square with zero diagonal and m[j][i] = -m[i][j] for every entry.
+
+    Each pair i < j is compared once, on the coefficients' numerators and
+    denominators (both are in lowest terms); every entry (i, j) above the
+    diagonal then has its negative at (j, i), and the entries below the
+    diagonal are exactly those when there are as many of them."""
     e = m.entries
-    return m.rows == m.cols and all(
-        i not in row and all(e[j].get(i) == {k: -c for k, c in form.items()} for j, form in row.items())
-        for i, row in enumerate(e)
-    )
+    if m.rows != m.cols:
+        return False
+    upper = 0
+    for i, row in enumerate(e):
+        if i in row:
+            return False
+        for j, form in row.items():
+            if j > i:
+                upper += 1
+                other = e[j].get(i)
+                if other is None or len(other) != len(form):
+                    return False
+                for k, c in form.items():
+                    d = other.get(k)
+                    if d is None or d.numerator != -c.numerator or d.denominator != c.denominator:
+                        return False
+    return 2 * upper == sum(map(len, e))
 
 
 def rank_bound(m: LinFormMatrix) -> int:

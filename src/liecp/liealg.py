@@ -234,14 +234,24 @@ class LieAlgebra:
     def bracket(self, u: VecLike, v: VecLike) -> Vector:
         return _dense(self.sparse_bracket(_sparse_vector(u, self.dim), _sparse_vector(v, self.dim)), self.dim)
 
+    @cached_property
+    def _partners(self) -> tuple[tuple[tuple[int, ScTable, bool], ...], ...]:
+        """For each basis index a, (j, table, a < j) over the j with [x_a, x_j] != 0, in order of j;
+        the table is that of [x_a, x_j] when a < j and of [x_j, x_a] otherwise.  Built on first use."""
+        partners: list[list[tuple[int, ScTable, bool]]] = [[] for _ in range(self.dim)]
+        for (i, j), table in self.sc.items():
+            partners[i].append((j, table, True))
+            partners[j].append((i, table, False))
+        return tuple(tuple(sorted(row, key=lambda t: t[0])) for row in partners)
+
     def ad_columns(self, h: Mapping[int, Fraction]) -> list[SparseVector]:
-        """[h, x_j] for every basis index j, as {k: c} without zeros: the columns of ad h."""
-        sc, cols = self.sc, [{} for _ in range(self.dim)]
+        """[h, x_j] for every basis index j, as {k: c} without zeros: the columns of ad h.
+
+        Only the partners of each nonzero coordinate of h are visited (`_partners`)."""
+        partners, cols = self._partners, [{} for _ in range(self.dim)]
         for a, x in h.items():
-            for j in range(self.dim):
-                table = sc.get((a, j)) if a < j else sc.get((j, a))
-                if table:
-                    _accumulate(cols[j], table, x if a < j else -x)
+            for j, table, forward in partners[a]:
+                _accumulate(cols[j], table, x if forward else -x)
         return [{k: c for k, c in col.items() if c} for col in cols]
 
     def basis_vector(self, i: int) -> Vector:
@@ -411,9 +421,9 @@ def is_subalgebra(L: LieAlgebra, s: Subspace) -> bool:
 
 
 def is_ideal(L: LieAlgebra, s: Subspace) -> bool:
-    """[h, x_i] lies in s for every echelon row h and basis index i (`ad_columns`)."""
+    """[h, x_i] lies in s for every echelon row h and basis index i (`ad_columns`); zero columns do."""
     _check_ambient(L, s)
-    return not any(s._reduce(col) for row in s.rows for col in L.ad_columns(row))
+    return not any(s._reduce(col) for row in s.rows for col in L.ad_columns(row) if col)
 
 
 def _check_ambient(L: LieAlgebra, s: Subspace) -> None:

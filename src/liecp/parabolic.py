@@ -47,8 +47,8 @@ from typing import Callable, Sequence
 
 from .errors import InvalidComposition, UnsupportedType
 from .exactla import DEFAULT_POLICY, ONE, ZERO, RankPolicy, kernel
-from .cp import CPReport, is_cp, perp_of
-from .index import index, stabilizer
+from .cp import CPReport, is_cp, polarization_at
+from .index import index
 from .liealg import (
     Functional,
     LieAlgebra,
@@ -105,6 +105,12 @@ class CompositionA(_Blocks):
         """Prefix sum closest to n/2, ties toward the smaller value."""
         return min(self.prefix_sums, key=lambda s: (abs(2 * s - self.n), s))
 
+    @cached_property
+    def positions(self) -> tuple[tuple[int, int], ...]:
+        """The (i, j) with the block of i before the block of j, in order: the nilradical's basis, computed once."""
+        coords = list(enumerate(self.blocks, start=1))
+        return tuple([(i, j) for i, bi in coords for j, bj in coords if bi < bj])
+
 
 @dataclass(frozen=True)
 class CompositionC(_Blocks):
@@ -154,16 +160,21 @@ def _algebra_from_matrices(labels: Sequence[str], mats: Sequence[SparseMat]) -> 
     """Structure constants of the span of matrices with distinct first positions.
 
     Each commutator is expanded exactly: the basis matrix keyed by its first
-    remaining position is subtracted until nothing remains."""
+    remaining position is subtracted until nothing remains.  A pair where
+    neither matrix's columns meet the other's rows commutes and is skipped."""
     basis_at: dict[tuple[int, int], int] = {}
     for k, m in enumerate(mats):
         pos = min(m)
         if pos in basis_at:
             raise ArithmeticError(f"{labels[basis_at[pos]]} and {labels[k]} share their first position {pos}")
         basis_at[pos] = k
+    rows = [{a for a, _ in m} for m in mats]
+    cols = [{b for _, b in m} for m in mats]
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
+            if cols[i].isdisjoint(rows[j]) and cols[j].isdisjoint(rows[i]):
+                continue
             rest = _mat_commutator(mats[i], mats[j])
             table = brackets[(i, j)] = {}
             while rest:
@@ -185,22 +196,16 @@ def _pos_label(prefix: str, i: int, j: int, wide: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _positions_A(comp: CompositionA) -> list[tuple[int, int]]:
-    coords = list(enumerate(comp.blocks, start=1))
-    return [(i, j) for i, bi in coords for j, bj in coords if bi < bj]
-
-
 def _basis_A(comp: CompositionA) -> tuple[list[str], list[SparseMat]]:
-    positions = _positions_A(comp)
+    positions = comp.positions
     return [_pos_label("E", i, j, comp.n > 9) for i, j in positions], [_e(i, j) for i, j in positions]
 
 
 def nilradical_A(comp: CompositionA) -> tuple[LieAlgebra, tuple[tuple[int, int], ...]]:
     """Strictly block-upper matrices; returns the algebra and its (i, j) basis order."""
     n = comp.n
-    positions = _positions_A(comp)
-    assert len(positions) == (n * n - sum(p * p for p in comp.parts)) // 2
-    return _algebra_from_matrices(*_basis_A(comp)), tuple(positions)
+    assert len(comp.positions) == (n * n - sum(p * p for p in comp.parts)) // 2
+    return _algebra_from_matrices(*_basis_A(comp)), comp.positions
 
 
 def index_formula_A(comp: CompositionA) -> int:
@@ -212,30 +217,23 @@ def index_formula_A(comp: CompositionA) -> int:
 
 
 def cp_ideal_A(comp: CompositionA) -> Subspace:
-    """Full off-diagonal block cut at the split point, as a coordinate span."""
-    positions = _positions_A(comp)
+    """Full off-diagonal block cut at the split point, as a coordinate span.
+
+    Rows {k: 1} in increasing k are already reduced echelon rows."""
     p = comp.split_point()
-    dim = len(positions)
-    vectors = []
-    for k, (i, j) in enumerate(positions):
-        if i <= p < j:
-            v = [ZERO] * dim
-            v[k] = ONE
-            vectors.append(v)
-    return Subspace.span(dim, vectors)
+    return Subspace(len(comp.positions), tuple({k: ONE} for k, (i, j) in enumerate(comp.positions) if i <= p < j))
 
 
 def regular_f_A(comp: CompositionA) -> Functional:
     """Indicator of the anti-diagonal positions (i, n+1-i), ile min(p, n-p)."""
-    positions = _positions_A(comp)
     n = comp.n
     p = comp.split_point()
     cut = min(p, n - p)
-    coords = [ZERO] * len(positions)
-    for k, (i, j) in enumerate(positions):
+    coords = [ZERO] * len(comp.positions)
+    for k, (i, j) in enumerate(comp.positions):
         if i <= cut and j == n + 1 - i:
             coords[k] = ONE
-    return Functional(len(positions), tuple(coords))
+    return Functional(len(comp.positions), tuple(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +281,10 @@ def index_formula_C(comp: CompositionC) -> int:
 
 
 def cp_ideal_C(comp: CompositionC) -> Subspace:
+    """The span of the Xp i j with i <= r - r1, as coordinate rows {k: 1} (reduced echelon)."""
     roots = _roots_C(comp)
-    r, r1 = comp.r, comp.r1
-    dim = len(roots)
-    vectors = []
-    for k, (kind, i, j) in enumerate(roots):
-        if kind == "p" and i <= r - r1:
-            v = [ZERO] * dim
-            v[k] = ONE
-            vectors.append(v)
-    return Subspace.span(dim, vectors)
+    cut = comp.r - comp.r1
+    return Subspace(len(roots), tuple({k: ONE} for k, (kind, i, _) in enumerate(roots) if kind == "p" and i <= cut))
 
 
 def regular_f_C(comp: CompositionC) -> Functional:
@@ -347,7 +339,13 @@ class Theorem62Report:
 def verify_theorem62(
     parts: Sequence[int], family: str, policy: RankPolicy = DEFAULT_POLICY
 ) -> Theorem62Report:
-    """Build N, P, f for a composition and check every claimed property."""
+    """Build N, P, f for a composition and check every claimed property.
+
+    P^f and N^f come from one B_f (`polarization_at`).  When P is abelian,
+    P^f = P and dim N^f = 2 dim P - dim N, `is_cp` proves i(N) = dim N^f and
+    the pairing rank from (P, f) with no sampled rank; otherwise the index
+    and the pairing rank are sampled as for any algebra (`index`, `is_cp`).
+    """
     family = family.upper()
     if family not in FAMILIES:
         raise UnsupportedType("only types A and C carry the construction")
@@ -355,12 +353,17 @@ def verify_theorem62(
     comp = fam.composition(tuple(parts))
     algebra, _ = fam.nilradical(comp)
     p, f, formula = fam.cp_ideal(comp), fam.regular_f(comp), fam.index_formula(comp)
-    rep = index(algebra, policy)
-    cp_rep = is_cp(algebra, p, policy)
-    perp_equal = perp_of(algebra, p, f) == p
-    f_regular = stabilizer(algebra, f).dim == formula
+    perp, stab = polarization_at(algebra, p, f)
+    cp_rep = is_cp(algebra, p, policy, (f, perp, stab))
+    if cp_rep.witness_f is None:
+        rep = index(algebra, policy)  # computed by is_cp already, and kept on the algebra
+        computed, certified = rep.index, rep.certified
+    else:
+        computed, certified = cp_rep.index, True  # proved from (P, f) with the report
+    perp_equal = perp == p
+    f_regular = stab.dim == formula
     ok = (
-        rep.index == formula
+        computed == formula
         and cp_rep.is_cp
         and cp_rep.is_ideal
         and perp_equal
@@ -371,8 +374,8 @@ def verify_theorem62(
         parts=tuple(parts),
         dim_n=algebra.dim,
         formula_index=formula,
-        computed_index=rep.index,
-        certified=rep.certified,
+        computed_index=computed,
+        certified=certified,
         cp=cp_rep,
         perp_equal=perp_equal,
         f_regular=f_regular,

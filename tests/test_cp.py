@@ -53,6 +53,7 @@ from liecp.cp import (
     max_abelian_coordinate_ideal,
     no_cp_certificate,
     perp_of,
+    polarization_at,
     quotient_cp_check,
     search_cp,
     subalgebra_cp_transfer,
@@ -186,6 +187,57 @@ class TestWitness:
         L = diamond()
         with pytest.raises(NotASubalgebra):
             cp_witness_functional(L, parse_span(L, "x,y"), P)
+
+
+def _no_sampled_rank(*args, **kwargs):
+    raise AssertionError("generic_rank called")
+
+
+WITNESSED = [pytest.param(name, id=name) for name in catalog.names() if catalog.expected(name).cp_witness]
+
+
+class TestPolarizationCertificate:
+    """is_cp given (P, f) with P^f = P proves its report with no sampled rank."""
+
+    @pytest.mark.parametrize("name", WITNESSED)
+    def test_witness_proves_the_sampled_report(self, name, monkeypatch):
+        L = catalog.get(name)
+        p = L.span_of_labels(catalog.expected(name).cp_witness)
+        f = cp_witness_functional(L, p, P)
+        if f is None:
+            pytest.skip("no witness functional sampled")
+        sampled = is_cp(L, p, P)
+        perp, stab = polarization_at(L, p, f)
+        assert perp == perp_of(L, p, f) == p
+        monkeypatch.setattr(cp_module, "generic_rank", _no_sampled_rank)
+        monkeypatch.setattr(index_module, "generic_rank", _no_sampled_rank)
+        proved = is_cp(catalog.get(name), p, P, (f, perp, stab))
+        assert proved == replace(sampled, witness_f=f) and proved.certified
+
+    def test_polarization_is_one_b_f(self, monkeypatch):
+        calls = []
+        real = cp_module._bf_rows
+        monkeypatch.setattr(cp_module, "_bf_rows", lambda L, f: calls.append(f) or real(L, f))
+        L = morozov4()
+        p = parse_span(L, "e3,e4,e5,e6")
+        f = Functional.from_coords((0, 0, 0, 0, 1, 1))
+        at = polarization_at(L, p, f)
+        assert len(calls) == 1
+        assert at == (perp_of(L, p, f), index_module.stabilizer(L, f))
+
+    def test_non_regular_f_falls_back(self):
+        L = morozov4()
+        p = parse_span(L, "e3,e4,e5,e6")
+        zero = Functional(6, (F(0),) * 6)
+        rep = is_cp(L, p, P, (zero, *polarization_at(L, p, zero)))
+        assert rep == is_cp(L, p, P) and rep.is_cp and rep.witness_f is None
+
+    def test_nonabelian_or_small_p_falls_back(self):
+        L = morozov4()
+        f = cp_witness_functional(L, parse_span(L, "e3,e4,e5,e6"), P)
+        for p in (parse_span(L, "e3,e4,e5"), Subspace.full(6)):
+            rep = is_cp(L, p, P, (f, *polarization_at(L, p, f)))
+            assert rep == is_cp(L, p, P) and not rep.is_cp and rep.witness_f is None
 
 
 class TestCertificates:

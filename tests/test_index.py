@@ -590,7 +590,15 @@ class TestIndexComputedOnce:
         monkeypatch.setattr(index_module, "generic_rank", counting)
         return calls
 
-    def test_verify_theorem62_one_call_per_policy(self, rank_calls):
+    def test_verify_theorem62_one_call_per_policy(self, rank_calls, monkeypatch):
+        # the (P, f) certificate proves the index with no sampled rank
+        for policy in (P, RankPolicy(seed=5)):
+            rank_calls.clear()
+            assert verify_theorem62((2, 1, 2), "A", policy).ok
+            assert rank_calls == []
+        # without it (is_cp given no witness), the index is sampled once per policy
+        real = parabolic.is_cp
+        monkeypatch.setattr(parabolic, "is_cp", lambda L, p, policy, witness=None: real(L, p, policy))
         for policy in (P, RankPolicy(seed=5)):
             rank_calls.clear()
             assert verify_theorem62((2, 1, 2), "A", policy).ok

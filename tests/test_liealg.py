@@ -740,6 +740,22 @@ class TestSparseAgainstDense:
         u, v = data.draw(_vectors(L.dim)), data.draw(_vectors(L.dim))
         assert L.bracket(u, v) == dense_bracket(L, u, v)
 
+    @given(st.data())
+    def test_ad_columns_equal_dense_reference(self, data):
+        L = data.draw(st.sampled_from(_REFERENCE_ALGEBRAS))
+        u = data.draw(_vectors(L.dim))
+        cols = L.ad_columns({k: F(x) for k, x in enumerate(u) if x})
+        assert all(0 not in col.values() for col in cols)
+        assert [tuple(col.get(k, F(0)) for k in range(L.dim)) for col in cols] == [
+            tuple(dense_bracket(L, u, L.basis_vector(j))) for j in range(L.dim)
+        ]
+
+    def test_partners_are_built_on_first_use(self):
+        L = morozov4()
+        assert "_partners" not in vars(L)
+        L.ad_columns({0: F(1)})
+        assert [[j for j, _, _ in row] for row in L._partners] == [[1, 2], [0, 3], [0], [1], [], []]
+
     def test_nilradical_basis_brackets(self):
         L = _REFERENCE_ALGEBRAS[-1]
         assert L.dim == 21

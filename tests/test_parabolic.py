@@ -1,15 +1,18 @@
 """Nilradical realizations, index formulas, Borel data, normalizers."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from liecp import cp as cp_module
+from liecp import index as index_module
 from liecp import parabolic
 from liecp.errors import InvalidComposition, UnsupportedType
 from liecp.exactla import DEFAULT_POLICY, RankPolicy, kernel
-from liecp.liealg import Subspace, is_abelian, is_ideal, new_lie_algebra
-from liecp.index import index
+from liecp.liealg import Functional, Subspace, is_abelian, is_ideal, new_lie_algebra
+from liecp.index import index, stabilizer
 from liecp.cp import is_cp, perp_of
 from liecp.parabolic import (
     EXCEPTIONAL_TABLE1,
@@ -28,6 +31,7 @@ from liecp.parabolic import (
     regular_f_C,
     table1_check,
     table1_row,
+    Theorem62Report,
     verify_theorem62,
 )
 
@@ -122,7 +126,8 @@ class TestBlocks:
         comp = CompositionA(tuple(parts))
         assert comp.blocks == tuple(_ref_block_of(comp.parts, pos) for pos in range(1, comp.n + 1))
         assert comp.blocks is comp.blocks
-        assert parabolic._positions_A(comp) == _ref_positions_A(comp)
+        assert comp.positions == tuple(_ref_positions_A(comp))
+        assert comp.positions is comp.positions
 
     @given(compositions_c())
     def test_type_c(self, comp):
@@ -194,6 +199,8 @@ class TestCPIdealA:
         i = index_formula_A(comp)
         assert (algebra.dim - i) % 2 == 0
         assert 2 * cp_ideal_A(comp).dim == algebra.dim + i
+        # the coordinate rows are built directly; they are the rows rref gives
+        assert cp_ideal_A(comp) == Subspace.span(algebra.dim, cp_ideal_A(comp).rows)
 
 
 class TestCPIdealC:
@@ -209,6 +216,7 @@ class TestCPIdealC:
     def test_cp_dimension_formula(self, comp):
         r, r1 = comp.r, comp.r1
         assert 2 * cp_ideal_C(comp).dim == (r * r - r1 * r1) + (r - r1)
+        assert cp_ideal_C(comp) == Subspace.span(cp_ideal_C(comp).ambient_dim, cp_ideal_C(comp).rows)
 
 
 class TestTheorem62:
@@ -409,7 +417,7 @@ def _ref_label(prefix, i, j, wide):
 
 
 def _ref_basis_A(comp):
-    positions = parabolic._positions_A(comp)
+    positions = _ref_positions_A(comp)
     labels = [_ref_label("E", i, j, comp.n > 9) for i, j in positions]
     return labels, [_ref_e(i, j) for i, j in positions], list(positions)
 
@@ -561,3 +569,86 @@ class TestFirstPositionBuilder:
         mats = [{(1, 3): F(1)}, {(3, 1): F(1)}] + parabolic._cartan([(1, 2), (2, 3), (3, 4)])[1]
         gl = parabolic._algebra_from_matrices(labels, mats)
         assert gl.bracket_table(0, 1) == {2: F(1), 3: F(1)}
+
+
+def _ref_theorem62(parts, family, policy):
+    """The Theorem 6.2 report as it was assembled before the (P, f) certificate:
+    sampled index, sampled pairing rank, and B_f built for P^f and again for L^f."""
+    fam = parabolic.FAMILIES[family]
+    comp = fam.composition(tuple(parts))
+    algebra, _ = fam.nilradical(comp)
+    p, f, formula = fam.cp_ideal(comp), fam.regular_f(comp), fam.index_formula(comp)
+    rep = index(algebra, policy)
+    cp_rep = is_cp(algebra, p, policy)
+    perp_equal = perp_of(algebra, p, f) == p
+    f_regular = stabilizer(algebra, f).dim == formula
+    ok = rep.index == formula and cp_rep.is_cp and cp_rep.is_ideal and perp_equal and f_regular
+    return Theorem62Report(
+        family, tuple(parts), algebra.dim, formula, rep.index, rep.certified, cp_rep, perp_equal, f_regular, ok
+    )
+
+
+def _no_sampled_rank(*args, **kwargs):
+    raise AssertionError("generic_rank called")
+
+
+def _fallback(monkeypatch, parts, family, policy=P):
+    """verify_theorem62 with is_cp given no witness: the sampled route."""
+    real = parabolic.is_cp
+    with monkeypatch.context() as m:
+        m.setattr(parabolic, "is_cp", lambda L, p, policy, witness=None: real(L, p, policy))
+        return verify_theorem62(parts, family, policy)
+
+
+class TestTheorem62Certificate:
+    """Every Theorem 6.2 report is proved from its own P and f, with no sampled rank."""
+
+    @pytest.mark.parametrize(
+        "comps",
+        [pytest.param(SWEEP, id="sweep"), pytest.param([("A", c) for c in _all_compositions(8)], id="A, n = 8")],
+    )
+    def test_proved_report_matches_the_sampled_one(self, comps, monkeypatch):
+        real_bf_rows = cp_module._bf_rows
+        for family, parts in comps:
+            bf_calls = []
+            with monkeypatch.context() as m:
+                m.setattr(cp_module, "generic_rank", _no_sampled_rank)
+                m.setattr(index_module, "generic_rank", _no_sampled_rank)
+                m.setattr(cp_module, "_bf_rows", lambda L, f: bf_calls.append(f) or real_bf_rows(L, f))
+                rep = verify_theorem62(parts, family, P)
+            assert rep.ok and rep.certified and rep.cp.witness_f is not None, (family, parts)
+            assert len(bf_calls) == 1
+            assert replace(rep, cp=replace(rep.cp, witness_f=None)) == _fallback(monkeypatch, parts, family)
+
+    def test_sampled_route_is_the_old_report(self, monkeypatch):
+        for family, parts in SWEEP[::10]:
+            assert _fallback(monkeypatch, parts, family) == _ref_theorem62(parts, family, P)
+
+    CASES = [("A", (2, 1, 2)), ("A", (1, 1, 1, 1)), ("A", (1, 2, 1)), ("C", (1, 2, 2, 1)), ("C", (1, 1, 1, 1, 1, 1))]
+
+    @pytest.mark.parametrize("family, parts", CASES)
+    def test_non_regular_f_takes_the_sampled_route(self, family, parts, monkeypatch):
+        fam = parabolic.FAMILIES[family]
+
+        def zeroed(comp):
+            coords = list(fam.regular_f(comp).coords)
+            coords[coords.index(1)] = F(0)
+            return Functional(len(coords), tuple(coords))
+
+        monkeypatch.setitem(parabolic.FAMILIES, family, replace(fam, regular_f=zeroed))
+        rep = verify_theorem62(parts, family, P)
+        assert rep == _ref_theorem62(parts, family, P) == _fallback(monkeypatch, parts, family)
+        assert rep.cp.witness_f is None and not rep.f_regular and not rep.ok
+
+    @pytest.mark.parametrize("family, parts", CASES)
+    def test_non_cp_p_takes_the_sampled_route(self, family, parts, monkeypatch):
+        fam = parabolic.FAMILIES[family]
+
+        def dropped(comp):
+            p = fam.cp_ideal(comp)
+            return Subspace(p.ambient_dim, p.rows[1:])
+
+        monkeypatch.setitem(parabolic.FAMILIES, family, replace(fam, cp_ideal=dropped))
+        rep = verify_theorem62(parts, family, P)
+        assert rep == _ref_theorem62(parts, family, P) == _fallback(monkeypatch, parts, family)
+        assert rep.cp.witness_f is None and not rep.cp.is_cp and not rep.ok

@@ -8,6 +8,9 @@ the `QMatrix` methods these paths call, and reading the forms of a
 code must give the same values, ranks and verdicts on the catalog, on the
 inputs of the construction tests and on drawn small matrices, among them
 non-homomorphisms and non-derivations that both must reject.
+
+`entrywise_is_alternating` is `is_alternating` as it stood before it
+compared each pair once: every matrix here must get the same answer.
 """
 
 import io
@@ -34,6 +37,7 @@ from liecp.exactla import (
     VecLike,
     as_vector,
     evaluate,
+    is_alternating,
     kernel,
     random_point,
     rank_exact,
@@ -318,7 +322,17 @@ def dense_semidirect_outcome(g, mats, dim_v):
 # ---------------------------------------------------------------------------
 
 
+def entrywise_is_alternating(m: LinFormMatrix) -> bool:
+    """m is square with zero diagonal and m[j][i] = -m[i][j] for every entry."""
+    e = m.entries
+    return m.rows == m.cols and all(
+        i not in row and all(e[j].get(i) == {k: -c for k, c in form.items()} for j, form in row.items())
+        for i, row in enumerate(e)
+    )
+
+
 def assert_evaluations_match(m: LinFormMatrix, point) -> None:
+    assert is_alternating(m) == entrywise_is_alternating(m)
     rows = evaluate(m, point)
     dense = dense_evaluate(m, point)
     assert dense_rows(rows, m.cols) == dense.entries
@@ -362,6 +376,18 @@ class TestEvaluateAndRank:
         coords = st.one_of(st.integers(-2, 2), st.builds(F, st.integers(-3, 3), st.integers(1, 4)))
         point = data.draw(st.lists(coords, min_size=nvars, max_size=nvars))
         assert_evaluations_match(m, point)
+
+    @given(st.data())
+    def test_drawn_antisymmetric_matrices(self, data):
+        # alternating, or one entry or its mirror changed, so both answers occur
+        n, nvars = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3))
+        forms = st.dictionaries(st.integers(0, nvars - 1), st.sampled_from([1, -1, 2, F(-1, 3)]), max_size=2)
+        upper = {(i, j): data.draw(forms) for i in range(n) for j in range(i + 1, n)}
+        grid = {**upper, **{(j, i): {k: -c for k, c in form.items()} for (i, j), form in upper.items()}}
+        if n and data.draw(st.booleans()):
+            grid[data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))] = data.draw(forms)
+        m = LinFormMatrix.build(n, n, nvars, lambda i, j: grid.get((i, j), {}))
+        assert is_alternating(m) == entrywise_is_alternating(m)
 
 
 # ---------------------------------------------------------------------------
